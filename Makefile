@@ -20,7 +20,7 @@ PKG_FLOORS = sidewinder/internal/ir=85.0 sidewinder/internal/adapt=85.0
 BENCH_PKGS = . ./internal/interp ./internal/telemetry
 
 .PHONY: verify build vet staticcheck test race bench bench-telemetry \
-	bench-baseline bench-check cover cover-check fuzz soak chaos
+	bench-baseline bench-check perfbench-check cover cover-check fuzz soak chaos
 
 verify: build vet staticcheck race
 	@echo "verify clean — consider 'make fuzz' (FUZZTIME=$(FUZZTIME) per target) for parser/framing changes"
@@ -79,6 +79,13 @@ bench-baseline:
 bench-check:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS) | tee bench-current.txt
 	scripts/check_bench_allocs.sh docs/bench/baseline.txt bench-current.txt
+
+# perfbench-check vets and tests the benchmark module (perfbench/, its own
+# Go module, so the root `go build ./...` never compiles it): an API change
+# in the packages it drives fails here instead of in the next benchmark
+# run. About 30 s.
+perfbench-check:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # cover writes an aggregate coverage profile and prints the per-package
 # summary; open coverage.html for the annotated source view.

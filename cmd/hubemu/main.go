@@ -168,7 +168,7 @@ func run(irPath, tracePath, deviceName string, verbose bool, metricsFile, traceO
 		fmt.Printf("interrupted at sample %d of %d: flushing telemetry\n", processed, n)
 	}
 
-	reportWake := func(i int, w interp.WakeEvent) {
+	reportWake := func(i int, w interp.Wake) {
 		wakes++
 		cWakes.Inc()
 		stream.Instant2("wake.sent", "hub", "node", float64(w.NodeID), "value", w.Value)
@@ -199,7 +199,7 @@ func run(irPath, tracePath, deviceName string, verbose bool, metricsFile, traceO
 			}
 			for _, w := range machine.PushBlock(ch, samples[base:end]) {
 				clk.SetSec(float64(base+w.Off) / tr.RateHz)
-				reportWake(base+w.Off, w.WakeEvent)
+				reportWake(base+w.Off, w)
 			}
 		}
 		return finishRun(tr, dev, machine, inj, crashProfile, set, stream, profile,
@@ -288,7 +288,7 @@ func finishRun(tr *sensor.Trace, dev hub.Device, machine *interp.Machine,
 // numbers the capacity scheduler admits against — as cycles on the chosen
 // device and resident window memory.
 func printStaticDemand(plan *core.Plan, dev hub.Device) {
-	stages := interp.MergedDemandByStage(plan)
+	stages := ir.DemandByKind(ir.CompileOptions{}, plan)
 	fmt.Println("static demand by stage (admission-controller view):")
 	var totalCycles float64
 	var totalMem int

@@ -47,7 +47,7 @@ type Options struct {
 	Precision interp.Precision
 	// DisableCSE is the cross-app sharing ablation for the fleet sweep:
 	// the scheduler bills every condition its standalone demand and the
-	// merged interpreter executes duplicated subgraphs separately. The
+	// shared-plan interpreter executes duplicated subgraphs separately. The
 	// default (false) compiles resident apps into one shared DAG.
 	DisableCSE bool
 	// Telemetry, when any sink is set, is shared by every simulation cell

@@ -29,7 +29,7 @@ const fleetPopulation = 16
 // FleetCapacity sweeps the app-mix size over a seeded phone population.
 // Each phone draws a modality, M apps (with repetition) and a trace from
 // the workload catalog, places the mix through the hub capacity
-// scheduler, and replays the admitted set on a merged interpreter while
+// scheduler, and replays the admitted set on a shared-plan interpreter while
 // degraded conditions are billed as phone-side duty-cycled fallback.
 // Cells fan out over the worker pool; populations and tables are
 // byte-identical at any worker count.

@@ -744,8 +744,7 @@ func (s *Server) writeCheckpoint() error {
 // is the authoritative one.
 func (s *Server) Snapshot() Checkpoint {
 	devs := s.registry.Snapshot()
-	s.gDevices.Set(float64(len(devs)))
-	s.gConnected.Set(float64(s.registry.Connected()))
+	s.refreshGauges(len(devs))
 	cp := Checkpoint{Epoch: s.epoch, Devices: devs, Ledger: s.ledger.Snapshot()}
 	var devTotal float64
 	for _, d := range devs {
@@ -753,6 +752,13 @@ func (s *Server) Snapshot() Checkpoint {
 	}
 	cp.ConservationErrMJ = math.Abs(cp.Ledger.TotalMJ - devTotal)
 	return cp
+}
+
+// refreshGauges sets the device-count gauges from the registry. They are
+// refreshed when read (a checkpoint or a metrics scrape), not per frame.
+func (s *Server) refreshGauges(devices int) {
+	s.gDevices.Set(float64(devices))
+	s.gConnected.Set(float64(s.registry.Connected()))
 }
 
 // conservationOK checks the drain invariant: the ledger total matches the
@@ -861,10 +867,12 @@ func (s *Server) startHTTP() error {
 	s.httpLn = ln
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
+		s.refreshGauges(s.registry.Len())
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		s.cfg.Telemetry.Metrics.WriteText(w)
 	})
 	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		s.refreshGauges(s.registry.Len())
 		w.Header().Set("Content-Type", "application/json")
 		s.cfg.Telemetry.Metrics.WriteJSON(w)
 	})

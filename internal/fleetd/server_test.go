@@ -3,12 +3,14 @@ package fleetd
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -410,6 +412,72 @@ func TestHTTPEndpoints(t *testing.T) {
 		}
 		if len(body) == 0 {
 			t.Fatalf("GET %s returned an empty body", path)
+		}
+	}
+}
+
+// TestMetricsGaugesLiveWithoutCheckpoints: with checkpointing off, the
+// device-count gauges must still be current when /metrics or
+// /metrics.json is scraped after a load run.
+func TestMetricsGaugesLiveWithoutCheckpoints(t *testing.T) {
+	const devices = 12
+	res, _, err := BuildPopulation(devices, 2, 7, 2*time.Second, 0)
+	if err != nil {
+		t.Fatalf("BuildPopulation: %v", err)
+	}
+	s := startTestServer(t, Config{HTTPAddr: "127.0.0.1:0"})
+	if _, err := RunLoad(LoadConfig{Addr: s.Addr()}, res.Cells); err != nil {
+		t.Fatalf("RunLoad: %v", err)
+	}
+	// Let the server notice every session close, so the connected count
+	// is stable while it is compared against the scrape.
+	deadline := time.Now().Add(5 * time.Second)
+	for s.Registry().Connected() != 0 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	get := func(path string) []byte {
+		t.Helper()
+		resp, err := http.Get("http://" + s.HTTPAddr() + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		return body
+	}
+	want := map[string]float64{
+		"fleetd.devices":           devices,
+		"fleetd.devices_connected": float64(s.Registry().Connected()),
+	}
+
+	var snap []telemetry.MetricSnapshot
+	if err := json.Unmarshal(get("/metrics.json"), &snap); err != nil {
+		t.Fatalf("/metrics.json: %v", err)
+	}
+	got := map[string]float64{}
+	for _, m := range snap {
+		got[m.Name] = m.Value
+	}
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("/metrics.json %s = %g, want %g", name, got[name], v)
+		}
+	}
+
+	got = map[string]float64{}
+	for _, line := range strings.Split(string(get("/metrics")), "\n") {
+		var name, kind string
+		var v float64
+		if n, _ := fmt.Sscanf(line, "%s %s %g", &name, &kind, &v); n == 3 && kind == "gauge" {
+			got[name] = v
+		}
+	}
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("/metrics %s = %g, want %g", name, got[name], v)
 		}
 	}
 }

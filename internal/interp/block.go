@@ -7,7 +7,7 @@ import (
 	"sidewinder/internal/dsp"
 )
 
-// This file implements the interpreter's two fast paths.
+// This file implements the interpreter's push path and numeric modes.
 //
 // Block dispatch: PushBlock feeds a whole sensor block through the graph
 // with per-block rather than per-sample dispatch. Stages advertise block
@@ -20,10 +20,11 @@ import (
 // stage (moving average, EMA, biquad): it maps the block 1:1 onto a suffix
 // of the input, writing into instance-owned scratch that downstream
 // consumption finishes with before the call returns. Everything else falls
-// back to the per-value scalar loop. Wake events carry the in-block offset
-// of the raw sample that triggered them, and a stable sort by offset
-// restores exact per-sample ordering, so a PushBlock call is
-// observationally identical to the equivalent PushSample loop.
+// back to the per-value scalar loop (deliver). Wakes carry the in-block
+// offset of the raw sample that triggered them, and a stable sort by
+// (offset, plan) restores exact per-sample ordering, so a PushBlock call is
+// observationally identical to pushing its samples one at a time.
+// PushSample is the degenerate one-sample block.
 //
 // Precision: a machine built with NewPrecision(plan, Q15) runs its
 // stateful kernels on saturating int32 Q15 arithmetic (internal/dsp/fixed.go),
@@ -68,19 +69,6 @@ func ParsePrecision(name string) (Precision, error) {
 	}
 }
 
-// BlockWake is a wake event produced by PushBlock, tagged with the offset
-// (within the pushed block) of the raw sample whose delivery triggered it.
-type BlockWake struct {
-	Off int
-	WakeEvent
-}
-
-// TaggedBlockWake is the Merged equivalent: offset plus plan attribution.
-type TaggedBlockWake struct {
-	Off int
-	TaggedWake
-}
-
 // blockConsumer is a re-blocking stage: consumeBlock ingests a prefix of
 // src up to (and including) the stage's next emission boundary, returning
 // how many samples it consumed and the emission, if the boundary was
@@ -100,18 +88,36 @@ type blockMapper interface {
 	pushBlock(src []float64) (out []float64, skip int)
 }
 
+// PushSample feeds one raw sensor sample: a one-sample PushBlock through
+// machine-owned storage, so it allocates nothing. The returned wakes all
+// have Off 0 and come in plan order; the slice is machine-owned scratch,
+// valid until the next push.
+func (m *Machine) PushSample(ch core.SensorChannel, sample float64) []Wake {
+	m.one[0] = sample
+	return m.PushBlock(ch, m.one[:])
+}
+
 // PushBlock feeds a whole block of raw samples from one channel and
-// returns the wakes it produced, ordered exactly as the equivalent
-// PushSample loop would produce them; Off reports each wake's position
-// within the block. The returned slice is machine-owned scratch, valid
-// until the next push.
-func (m *Machine) PushBlock(ch core.SensorChannel, samples []float64) []BlockWake {
-	m.bwakes = m.bwakes[:0]
+// returns the wakes it produced, ordered by (offset, plan) — exactly as a
+// loop of one-sample pushes would produce them; Off reports each wake's
+// position within the block. The returned slice is machine-owned scratch,
+// valid until the next push.
+func (m *Machine) PushBlock(ch core.SensorChannel, samples []float64) []Wake {
+	m.wakes = m.wakes[:0]
 	if len(samples) == 0 {
-		return m.bwakes
+		return m.wakes
 	}
 	if m.prec == Q15 {
-		samples = m.quantize(samples)
+		// Sensor ingress conversion, into scratch: the caller's samples
+		// are never mutated.
+		if cap(m.qbuf) < len(samples) {
+			m.qbuf = make([]float64, len(samples))
+		}
+		q := m.qbuf[:len(samples)]
+		for i, x := range samples {
+			q[i] = dsp.QuantizeQ15(x)
+		}
+		samples = q
 	}
 	seq0 := m.chanSeq[ch]
 	m.chanSeq[ch] = seq0 + int64(len(samples))
@@ -119,74 +125,54 @@ func (m *Machine) PushBlock(ch core.SensorChannel, samples []float64) []BlockWak
 		m.deliverBlock(tg, samples, seq0, 0)
 	}
 	// With several targets on the channel, each target's wakes come out
-	// batched; a stable insertion sort by offset restores the per-sample
-	// interleaving. Wakes are rare, so this is a no-op almost always.
-	for i := 1; i < len(m.bwakes); i++ {
-		for j := i; j > 0 && m.bwakes[j].Off < m.bwakes[j-1].Off; j-- {
-			m.bwakes[j], m.bwakes[j-1] = m.bwakes[j-1], m.bwakes[j]
-		}
-	}
-	return m.bwakes
-}
-
-// quantize rounds a block onto the Q15 grid in machine-owned scratch
-// (sensor ingress conversion; the caller's slice is never mutated).
-func (m *Machine) quantize(samples []float64) []float64 {
-	if cap(m.qbuf) < len(samples) {
-		m.qbuf = make([]float64, len(samples))
-	}
-	q := m.qbuf[:len(samples)]
-	for i, x := range samples {
-		q[i] = dsp.QuantizeQ15(x)
-	}
-	return q
+	// batched; sorting restores the per-sample interleaving.
+	sortWakes(m.wakes)
+	return m.wakes
 }
 
 // deliverBlock pushes a block into one node port. src holds the values for
 // offsets [off0, off0+len(src)) with sequence numbers starting at seq0.
 func (m *Machine) deliverBlock(tg target, src []float64, seq0 int64, off0 int) {
-	node := &m.plan.Nodes[tg.node]
-	switch inst := m.nodes[tg.node].(type) {
+	n := &m.nodes[tg.node]
+	switch inst := n.inst.(type) {
 	case blockConsumer:
 		base := 0
 		for base < len(src) {
-			n, out, ok := inst.consumeBlock(src[base:])
-			m.work = m.work.Add(node.Cost.Scale(float64(n)))
+			k, out, ok := inst.consumeBlock(src[base:])
+			m.work = m.work.Add(n.cost.Scale(float64(k)))
 			if m.stageStats != nil {
 				var em int64
 				if ok {
 					em = 1
 				}
-				m.stageStats[tg.node].RecordBlock(node.Cost.FloatOps, node.Cost.IntOps, int64(n), em)
+				m.stageStats[tg.node].RecordBlock(n.cost.FloatOps, n.cost.IntOps, int64(k), em)
 			}
-			base += n
+			base += k
 			if !ok {
 				continue
 			}
 			m.off = off0 + base - 1
-			if tg.node == m.outNode {
-				m.appendWake(node.ID, out)
-			}
-			for _, next := range m.byNode[tg.node] {
+			m.appendWakes(n, out)
+			for _, next := range n.fanout {
 				m.deliver(next, out)
 			}
 		}
 	case blockMapper:
 		out, skip := inst.pushBlock(src)
-		m.work = m.work.Add(node.Cost.Scale(float64(len(src))))
+		m.work = m.work.Add(n.cost.Scale(float64(len(src))))
 		if m.stageStats != nil {
-			m.stageStats[tg.node].RecordBlock(node.Cost.FloatOps, node.Cost.IntOps, int64(len(src)), int64(len(out)))
+			m.stageStats[tg.node].RecordBlock(n.cost.FloatOps, n.cost.IntOps, int64(len(src)), int64(len(out)))
 		}
 		if len(out) == 0 {
 			return
 		}
-		if tg.node == m.outNode {
+		if len(n.outPlans) > 0 {
 			for j, y := range out {
 				m.off = off0 + skip + j
-				m.appendWake(node.ID, Value{Seq: seq0 + int64(skip+j), Scalar: y})
+				m.appendWakes(n, Value{Seq: seq0 + int64(skip+j), Scalar: y})
 			}
 		}
-		for _, next := range m.byNode[tg.node] {
+		for _, next := range n.fanout {
 			m.deliverBlock(next, out, seq0+int64(skip), off0+skip)
 		}
 	default:

@@ -28,11 +28,12 @@ func blockSignal(n int, seed int64) []float64 {
 	return out
 }
 
-// machineWakesPerSample replays the signal per sample and collects wakes.
+// machineWakesPerSample replays the signal through the reference evaluator
+// and collects wakes.
 func machineWakesPerSample(m *Machine, ch core.SensorChannel, sig []float64) []wakeRec {
 	var out []wakeRec
 	for i, v := range sig {
-		for _, w := range m.PushSample(ch, v) {
+		for _, w := range refPushSample(m, ch, v) {
 			out = append(out, wakeRec{i, w.NodeID, math.Float64bits(w.Value), w.Seq})
 		}
 	}
@@ -57,11 +58,11 @@ func machineWakesBlocked(m *Machine, ch core.SensorChannel, sig []float64, chunk
 func compareWakes(t *testing.T, label string, want, got []wakeRec) {
 	t.Helper()
 	if len(want) != len(got) {
-		t.Fatalf("%s: wake count: per-sample %d, block %d", label, len(want), len(got))
+		t.Fatalf("%s: wake count: reference %d, block %d", label, len(want), len(got))
 	}
 	for i := range want {
 		if want[i] != got[i] {
-			t.Fatalf("%s: wake %d: per-sample %+v, block %+v", label, i, want[i], got[i])
+			t.Fatalf("%s: wake %d: reference %+v, block %+v", label, i, want[i], got[i])
 		}
 	}
 }
@@ -116,8 +117,9 @@ func blockTestPipelines() map[string]*core.Pipeline {
 }
 
 // TestPushBlockMatchesPushSample checks the core equivalence contract:
-// PushBlock at any chunking produces byte-identical wake sequences, work
-// meters, and sequence numbers to a PushSample loop, in both precisions.
+// PushBlock at any chunking (chunk 1 is PushSample) produces byte-identical
+// wake sequences, work meters, and sequence numbers to the per-value
+// reference evaluator, in both precisions.
 func TestPushBlockMatchesPushSample(t *testing.T) {
 	sig := blockSignal(4096, 7)
 	for name, p := range blockTestPipelines() {
@@ -146,8 +148,11 @@ func TestPushBlockMatchesPushSample(t *testing.T) {
 	}
 }
 
-// TestMergedPushBlockMatchesPushSample checks the Merged equivalent,
-// including plan attribution order and prefix sharing.
+// TestMergedPushBlockMatchesPushSample checks the shared-plan equivalent,
+// including plan attribution order and prefix sharing: the blocked shared
+// machine must report exactly the wakes of one solo machine per plan under
+// the reference evaluator, ordered by (sample, plan), and meter exactly
+// the work of the same shared machine under the reference evaluator.
 func TestMergedPushBlockMatchesPushSample(t *testing.T) {
 	pipes := blockTestPipelines()
 	plans := []*core.Plan{
@@ -157,37 +162,23 @@ func TestMergedPushBlockMatchesPushSample(t *testing.T) {
 	}
 	sig := blockSignal(4096, 11)
 
-	type taggedRec struct {
-		At   int
-		Plan int
-		wakeRec
-	}
 	for _, prec := range []Precision{Float64, Q15} {
-		ref, err := NewMergedPrecision(prec, plans...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []taggedRec
+		solo := newSoloRef(t, prec, plans)
+		ref, _ := mustShared(t, prec, cseOnly, plans...)
+		var want []taggedDagWake
 		for i, v := range sig {
-			for _, w := range ref.PushSample(core.Mic, v) {
-				want = append(want, taggedRec{i, w.Plan,
-					wakeRec{i, w.NodeID, math.Float64bits(w.Value), w.Seq}})
+			for _, w := range solo.push(core.Mic, v) {
+				want = append(want, taggedDagWake{i, w.Plan, math.Float64bits(w.Value), w.Seq})
 			}
+			refPushSample(ref, core.Mic, v)
 		}
 		for _, chunk := range []int{1, 5, 128, 1024} {
-			m, err := NewMergedPrecision(prec, plans...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []taggedRec
+			m, _ := mustShared(t, prec, cseOnly, plans...)
+			var got []taggedDagWake
 			for base := 0; base < len(sig); base += chunk {
-				end := base + chunk
-				if end > len(sig) {
-					end = len(sig)
-				}
+				end := min(base+chunk, len(sig))
 				for _, w := range m.PushBlock(core.Mic, sig[base:end]) {
-					got = append(got, taggedRec{base + w.Off, w.Plan,
-						wakeRec{base + w.Off, w.NodeID, math.Float64bits(w.Value), w.Seq}})
+					got = append(got, taggedDagWake{base + w.Off, w.Plan, math.Float64bits(w.Value), w.Seq})
 				}
 			}
 			if len(want) != len(got) {
@@ -223,7 +214,7 @@ func TestPushBlockMultiChannel(t *testing.T) {
 	var want []wakeRec
 	for i := 0; i < 2000; i++ {
 		for ci, ch := range chans {
-			for _, w := range ref.PushSample(ch, sigs[ci][i]) {
+			for _, w := range refPushSample(ref, ch, sigs[ci][i]) {
 				want = append(want, wakeRec{i, w.NodeID, math.Float64bits(w.Value), w.Seq})
 			}
 		}
@@ -257,5 +248,34 @@ func TestPushBlockMultiChannel(t *testing.T) {
 			got = append(got, pend...)
 		}
 		compareWakes(t, "multi-channel", want, got)
+	}
+}
+
+// TestPushSampleSteadyStateAllocs pins the one-sample path's allocation
+// contract in tier 1: PushSample hands a machine-owned one-element block
+// to PushBlock, and neither that block nor the Q15 ingress scratch may
+// escape into a fresh allocation once the machine is warm.
+func TestPushSampleSteadyStateAllocs(t *testing.T) {
+	sig := blockSignal(4096, 3)
+	for name, p := range blockTestPipelines() {
+		plan := mustPlan(t, p)
+		ch := plan.Channels[0]
+		for _, prec := range []Precision{Float64, Q15} {
+			m, err := NewPrecision(plan, prec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range sig {
+				m.PushSample(ch, v)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(2000, func() {
+				m.PushSample(ch, sig[i%len(sig)])
+				i++
+			})
+			if allocs != 0 {
+				t.Errorf("%s/%s: PushSample allocates %.2f allocs/op in steady state, want 0", name, prec, allocs)
+			}
+		}
 	}
 }

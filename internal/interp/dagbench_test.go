@@ -10,9 +10,9 @@ import (
 // dagBenchPlans builds n wake conditions with heavy interior sharing: every
 // plan runs the same movingAvg → window → rms feature chain over the
 // microphone and differs only in its admission cutoff. The DAG pass
-// collapses the whole interior to one shared execution; the linear merged
-// path shares it too (it is a common prefix), so the pair benchmarks the
-// dispatch machinery, not different amounts of arithmetic.
+// collapses the whole interior to one shared execution; CSE-only
+// compilation shares it too (it is a common prefix), so the pair
+// benchmarks the dispatch machinery, not different amounts of arithmetic.
 func dagBenchPlans(tb testing.TB, n int) []*core.Plan {
 	tb.Helper()
 	cat := core.DefaultCatalog()
@@ -35,43 +35,33 @@ func dagBenchPlans(tb testing.TB, n int) []*core.Plan {
 	return plans
 }
 
-// BenchmarkDAGMerged compares the DAG-compiled shared plan against the
-// linear signature-merged path on the block dispatch hot loop. Both must
-// stay 0 allocs/op in steady state (enforced against docs/bench/baseline.txt
-// by `make bench-check`).
+// BenchmarkDAGMerged compares the fully optimized shared plan ("dag")
+// against CSE-only compilation ("linear": common-prefix sharing and
+// nothing else) on the block dispatch hot loop. Both must stay 0 allocs/op
+// in steady state (enforced against docs/bench/baseline.txt by
+// `make bench-check`).
 func BenchmarkDAGMerged(b *testing.B) {
 	const nApps = 6
 	plans := dagBenchPlans(b, nApps)
 	block := mergedWakeInput(256)
 
-	b.Run("linear", func(b *testing.B) {
-		m, err := NewMerged(plans...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.PushBlock(core.Mic, block) // warm scratch buffers
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.PushBlock(core.Mic, block)
-		}
-	})
-	b.Run("dag", func(b *testing.B) {
-		sp, err := ir.CompilePlans(core.DefaultCatalog(), ir.CompileOptions{}, plans...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := NewShared(Float64, sp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.PushBlock(core.Mic, block)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.PushBlock(core.Mic, block)
-		}
-	})
+	for _, bc := range []struct {
+		name string
+		opts ir.CompileOptions
+	}{
+		{"linear", cseOnly},
+		{"dag", ir.CompileOptions{}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			m, _ := mustShared(b, Float64, bc.opts, plans...)
+			m.PushBlock(core.Mic, block) // warm scratch buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m.PushBlock(core.Mic, block)
+			}
+		})
+	}
 }
 
 // TestDAGMergedSteadyStateAllocs is the tier-1 twin of the benchmark: the

@@ -59,9 +59,10 @@ func dagTestChannels(t *testing.T) map[core.SensorChannel][]float64 {
 	return chans
 }
 
-// feedPerSample drives a machine sample by sample, interleaving the
-// plan's channels in order at each index (channels may have different
-// lengths; shorter ones simply stop contributing).
+// feedPerSample drives a machine sample by sample through the reference
+// evaluator, interleaving the plan's channels in order at each index
+// (channels may have different lengths; shorter ones simply stop
+// contributing).
 func feedPerSample(m *Machine, order []core.SensorChannel, chans map[core.SensorChannel][]float64) []dagWake {
 	n := 0
 	for _, ch := range order {
@@ -76,7 +77,7 @@ func feedPerSample(m *Machine, order []core.SensorChannel, chans map[core.Sensor
 			if i >= len(sig) {
 				continue
 			}
-			for _, w := range m.PushSample(ch, sig[i]) {
+			for _, w := range refPushSample(m, ch, sig[i]) {
 				out = append(out, dagWake{i, math.Float64bits(w.Value), w.Seq})
 			}
 		}
@@ -85,37 +86,44 @@ func feedPerSample(m *Machine, order []core.SensorChannel, chans map[core.Sensor
 }
 
 // feedBlocked drives a machine through PushBlock in fixed-size chunks.
-// Within a chunk, wakes from different channels are re-merged by absolute
-// offset (stable in channel order) to reproduce the per-sample interleave.
 func feedBlocked(m *Machine, order []core.SensorChannel, chans map[core.SensorChannel][]float64, chunk int) []dagWake {
+	var out []dagWake
+	for _, w := range feedBlockedWakes(m, order, chans, chunk) {
+		out = append(out, dagWake{w.Off, math.Float64bits(w.Value), w.Seq})
+	}
+	return out
+}
+
+// feedBlockedWakes drives a machine through PushBlock in fixed-size chunks
+// and returns its wakes with Off rebased to the absolute sample position.
+// Within a chunk, wakes from different channels are re-merged by position
+// (stable in channel order) to reproduce the per-sample interleave.
+func feedBlockedWakes(m *Machine, order []core.SensorChannel, chans map[core.SensorChannel][]float64, chunk int) []Wake {
 	n := 0
 	for _, ch := range order {
 		if len(chans[ch]) > n {
 			n = len(chans[ch])
 		}
 	}
-	var out []dagWake
+	var out []Wake
 	for base := 0; base < n; base += chunk {
-		var pend []dagWake
+		first := len(out)
 		for _, ch := range order {
 			sig := chans[ch]
 			if base >= len(sig) {
 				continue
 			}
-			end := base + chunk
-			if end > len(sig) {
-				end = len(sig)
-			}
-			for _, w := range m.PushBlock(ch, sig[base:end]) {
-				pend = append(pend, dagWake{base + w.Off, math.Float64bits(w.Value), w.Seq})
+			for _, w := range m.PushBlock(ch, sig[base:min(base+chunk, len(sig))]) {
+				w.Off += base
+				out = append(out, w)
 			}
 		}
+		pend := out[first:]
 		for i := 1; i < len(pend); i++ {
-			for j := i; j > 0 && pend[j].At < pend[j-1].At; j-- {
+			for j := i; j > 0 && pend[j].Off < pend[j-1].Off; j-- {
 				pend[j], pend[j-1] = pend[j-1], pend[j]
 			}
 		}
-		out = append(out, pend...)
 	}
 	return out
 }
@@ -133,11 +141,11 @@ func compareDagWakes(t *testing.T, label string, want, got []dagWake) {
 }
 
 // TestDAGLinearEquivalence is the headline pin: for every catalog
-// application, in both precisions and on both dispatch paths at several
-// chunkings, the DAG-compiled plan produces exactly the wake sequence of
-// the linear plan — and exactly its work meter, with duplicated subgraphs
-// metered once via the signature-sharing merged interpreter as the
-// reference for the apps where CSE actually eliminates nodes.
+// application, in both precisions, under the reference evaluator and on
+// the block path at several chunkings, the DAG-compiled plan produces
+// exactly the wake sequence of the linear plan — and exactly its work
+// meter, with duplicated subgraphs metered once via the CSE-only compiled
+// plan as the reference for the apps where CSE actually eliminates nodes.
 func TestDAGLinearEquivalence(t *testing.T) {
 	cat := core.DefaultCatalog()
 	chans := dagTestChannels(t)
@@ -177,29 +185,23 @@ func TestDAGLinearEquivalence(t *testing.T) {
 
 			// Work meter: with nothing eliminated the DAG machine must
 			// meter bit-identically to the linear one. With duplicates
-			// eliminated it must meter bit-identically to the
-			// signature-sharing merged interpreter over the same plan —
-			// the pre-DAG shared-execution reference.
+			// eliminated it must meter bit-identically to the CSE-only
+			// compiled plan — shared execution with no other rewrite.
 			if stats.Eliminated() == 0 {
 				if linear.Work() != dag.Work() {
 					t.Fatalf("%s: work meter diverged with no elimination: %+v vs %+v",
 						label, linear.Work(), dag.Work())
 				}
 			} else {
-				ref, err := NewMergedPrecision(prec, plan)
+				cse, _, err := ir.CompilePlan(cat, cseOnly, plan)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var refWakes []dagWake
-				for i, v := range chans[order[0]] {
-					for _, w := range ref.PushSample(order[0], v) {
-						refWakes = append(refWakes, dagWake{i, math.Float64bits(w.Value), w.Seq})
-					}
+				ref, err := NewPrecision(cse, prec)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if len(order) != 1 {
-					t.Fatalf("%s: eliminated>0 app expected single-channel", label)
-				}
-				compareDagWakes(t, label+"/merged-ref", refWakes, got)
+				compareDagWakes(t, label+"/cse-ref", feedPerSample(ref, order, chans), got)
 				if ref.Work() != dag.Work() {
 					t.Fatalf("%s: work meter diverged from shared reference: %+v vs %+v",
 						label, ref.Work(), dag.Work())
@@ -237,11 +239,13 @@ type taggedDagWake struct {
 }
 
 // TestDAGCrossAppEquivalence pins the multi-tenant form: all six catalog
-// apps compiled into one shared DAG execute exactly like the
-// signature-sharing merged interpreter — same tagged wake sequence, same
-// work meter — in both precisions, per-sample and blocked. It also pins
-// that cross-app CSE eliminates strictly more than the apps' intra-app
-// duplicates alone.
+// apps compiled into one shared DAG report exactly the tagged wake
+// sequence of one solo machine per app under the reference evaluator,
+// ordered by (sample, plan), in both precisions, per-sample and blocked.
+// The work meter must equal the CSE-only shared plan's — each shared
+// subgraph metered once — and stay below the solo machines' total. It
+// also pins that cross-app CSE eliminates strictly more than the apps'
+// intra-app duplicates alone.
 func TestDAGCrossAppEquivalence(t *testing.T) {
 	cat := core.DefaultCatalog()
 	chans := dagTestChannels(t)
@@ -289,88 +293,67 @@ func TestDAGCrossAppEquivalence(t *testing.T) {
 	}
 
 	for _, prec := range []Precision{Float64, Q15} {
-		ref, err := NewMergedPrecision(prec, plans...)
-		if err != nil {
-			t.Fatal(err)
-		}
+		solo := newSoloRef(t, prec, plans)
+		ref, _ := mustShared(t, prec, cseOnly, plans...)
 		shared, err := NewShared(prec, sp)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		collect := func(m *Merged) []taggedDagWake {
-			var out []taggedDagWake
-			for i := 0; i < n; i++ {
-				for _, ch := range order {
-					sig := chans[ch]
-					if i >= len(sig) {
-						continue
-					}
-					for _, w := range m.PushSample(ch, sig[i]) {
-						out = append(out, taggedDagWake{i, w.Plan, math.Float64bits(w.Value), w.Seq})
-					}
+		var want, got []taggedDagWake
+		for i := 0; i < n; i++ {
+			for _, ch := range order {
+				sig := chans[ch]
+				if i >= len(sig) {
+					continue
+				}
+				for _, w := range solo.push(ch, sig[i]) {
+					want = append(want, taggedDagWake{i, w.Plan, math.Float64bits(w.Value), w.Seq})
+				}
+				refPushSample(ref, ch, sig[i])
+				for _, w := range refPushSample(shared, ch, sig[i]) {
+					got = append(got, taggedDagWake{i, w.Plan, math.Float64bits(w.Value), w.Seq})
 				}
 			}
-			return out
 		}
-		want := collect(ref)
-		got := collect(shared)
 		if len(want) == 0 {
 			t.Fatalf("%s: no wakes at all — traces too quiet to pin anything", prec)
 		}
-		if len(want) != len(got) {
-			t.Fatalf("%s: tagged wake count %d vs %d", prec, len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("%s: tagged wake %d: %+v vs %+v", prec, i, want[i], got[i])
+		compareTagged := func(label string, got []taggedDagWake) {
+			t.Helper()
+			if len(want) != len(got) {
+				t.Fatalf("%s: tagged wake count %d vs %d", label, len(want), len(got))
+			}
+			for i := range want {
+				if want[i] != got[i] {
+					t.Fatalf("%s: tagged wake %d: %+v vs %+v", label, i, want[i], got[i])
+				}
 			}
 		}
+		compareTagged(prec.String(), got)
 		if ref.Work() != shared.Work() {
-			t.Fatalf("%s: work meter diverged: %+v vs %+v", prec, ref.Work(), shared.Work())
+			t.Fatalf("%s: work meter diverged from the CSE-only reference: %+v vs %+v", prec, ref.Work(), shared.Work())
+		}
+		var soloWork core.CostEstimate
+		for _, m := range solo.ms {
+			soloWork = soloWork.Add(m.Work())
+		}
+		if sw := shared.Work(); sw.FloatOps > soloWork.FloatOps || sw.IntOps > soloWork.IntOps {
+			t.Fatalf("%s: shared work %+v exceeds the solo total %+v", prec, sw, soloWork)
 		}
 
-		// Blocked dispatch, both machines driven by the identical chunk
-		// pattern, must agree wake for wake as well.
+		// Blocked dispatch reproduces the same tagged sequence and meter.
 		for _, chunk := range dagChunkings {
-			refB, err := NewMergedPrecision(prec, plans...)
-			if err != nil {
-				t.Fatal(err)
-			}
 			sharedB, err := NewShared(prec, sp)
 			if err != nil {
 				t.Fatal(err)
 			}
-			collectB := func(m *Merged) []taggedDagWake {
-				var out []taggedDagWake
-				for base := 0; base < n; base += chunk {
-					for _, ch := range order {
-						sig := chans[ch]
-						if base >= len(sig) {
-							continue
-						}
-						end := base + chunk
-						if end > len(sig) {
-							end = len(sig)
-						}
-						for _, w := range m.PushBlock(ch, sig[base:end]) {
-							out = append(out, taggedDagWake{base + w.Off, w.Plan, math.Float64bits(w.Value), w.Seq})
-						}
-					}
-				}
-				return out
+			var bw []taggedDagWake
+			for _, w := range feedBlockedWakes(sharedB, order, chans, chunk) {
+				bw = append(bw, taggedDagWake{w.Off, w.Plan, math.Float64bits(w.Value), w.Seq})
 			}
-			bw := collectB(refB)
-			bg := collectB(sharedB)
-			if len(bw) != len(bg) {
-				t.Fatalf("%s chunk %d: tagged wake count %d vs %d", prec, chunk, len(bw), len(bg))
-			}
-			for i := range bw {
-				if bw[i] != bg[i] {
-					t.Fatalf("%s chunk %d: tagged wake %d: %+v vs %+v", prec, chunk, i, bw[i], bg[i])
-				}
-			}
-			if refB.Work() != sharedB.Work() {
+			compareTagged(fmt.Sprintf("%s chunk %d", prec, chunk), bw)
+			if sharedB.Work() != shared.Work() {
 				t.Fatalf("%s chunk %d: block work meter diverged", prec, chunk)
 			}
 		}

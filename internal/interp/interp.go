@@ -1,11 +1,17 @@
 // Package interp implements the sensor-hub runtime (paper §3.5): an
-// interpreter that executes a bound wake-up condition over streaming sensor
+// interpreter that executes bound wake-up conditions over streaming sensor
 // data. It mirrors the paper's C implementation: every algorithm instance
 // owns a per-instance data structure, the interpreter feeds incoming sensor
 // samples to the appropriate instances, and an instance that produces a
 // result sets a hasResult flag that forwards the value to the next
 // instance. A value reaching OUT signals that the main processor should be
 // woken up.
+//
+// One Machine runs either a single plan (NewPrecision) or several plans
+// compiled into one shared graph (NewShared, the paper's §7 merging
+// extension): in both cases each node runs once per input and fans out to
+// every consumer, and each node feeding OUT carries the indices of the
+// plans it satisfies.
 //
 // The interpreter also meters the work it performs (in the abstract
 // float/int operation units of the catalog cost model) so device models can
@@ -17,6 +23,7 @@ import (
 
 	"sidewinder/internal/core"
 	"sidewinder/internal/dsp"
+	"sidewinder/internal/ir"
 	"sidewinder/internal/telemetry"
 )
 
@@ -34,12 +41,15 @@ type Value struct {
 	Vector []float64 // nil for scalar edges
 }
 
-// IsVector reports whether the value carries a block.
-func (v Value) IsVector() bool { return v.Vector != nil }
-
-// WakeEvent is delivered when the wake-up condition is satisfied: the final
+// Wake is delivered when a wake-up condition is satisfied: the final
 // admission-control stage emitted a value to OUT (paper §3.3).
-type WakeEvent struct {
+type Wake struct {
+	// Off is the offset, within the pushed block, of the raw sample whose
+	// delivery triggered the wake (always 0 for PushSample).
+	Off int
+	// Plan is the index of the satisfied plan: its position in the
+	// shared plan's sources, or 0 on a single-plan machine.
+	Plan int
 	// NodeID is the plan node that fed OUT.
 	NodeID int
 	// Value is the admitted scalar.
@@ -65,32 +75,44 @@ type target struct {
 	port int
 }
 
-// Machine executes one bound wake-up condition.
+// node is one algorithm instance wired into the machine's graph.
+type node struct {
+	inst instance
+	cost core.CostEstimate
+	// kind is the algorithm kind, kept for per-stage telemetry.
+	kind core.AlgorithmKind
+	// planID is the node's ID in the executed plan, reported in wakes.
+	planID int
+	// outPlans lists the plans for which this node feeds OUT.
+	outPlans []int
+	// fanout routes emissions to downstream nodes.
+	fanout []target
+}
+
+// Machine executes one or more bound wake-up conditions as one graph.
 type Machine struct {
-	plan    *core.Plan
-	nodes   []instance
+	nodes   []node
 	byChan  map[core.SensorChannel][]target
-	byNode  [][]target // fan-out per node index
-	outNode int        // index of the node feeding OUT
+	chanSeq map[core.SensorChannel]int64
 	prec    Precision
 	work    core.CostEstimate
-	wakes   []WakeEvent
-	chanSeq map[core.SensorChannel]int64
 
 	// off is the offset (within the block being pushed) of the raw sample
-	// whose delivery cascade is currently running; wakes record it so the
-	// block path can report when within the block each wake fired. The
-	// per-sample path runs with off pinned to 0.
-	off    int
-	bwakes []BlockWake
+	// whose delivery cascade is currently running; wakes record it.
+	off   int
+	wakes []Wake
 	// qbuf is the Q15 ingress scratch: PushBlock quantizes into it rather
-	// than mutating the caller's samples.
+	// than mutating the caller's samples. one backs PushSample's
+	// one-sample block, so the per-sample path allocates nothing.
 	qbuf []float64
+	one  [1]float64
 
 	// stageStats, when non-nil, holds one pre-interned telemetry handle
 	// per node (parallel to nodes), so the delivery loop attributes work
 	// per stage kind with plain field arithmetic — no map lookups, no
-	// allocation, nothing when telemetry is disabled.
+	// allocation, nothing when telemetry is disabled. Work on a shared
+	// node is recorded once: the profile sees the deduplicated execution
+	// the hub actually pays for.
 	stageStats []*telemetry.StageStat
 }
 
@@ -100,16 +122,34 @@ type Machine struct {
 // cannot instantiate.
 func New(plan *core.Plan) (*Machine, error) { return NewPrecision(plan, Float64) }
 
-// NewPrecision builds a machine executing in the given precision.
+// NewPrecision builds a machine executing one plan in the given precision.
 func NewPrecision(plan *core.Plan, prec Precision) (*Machine, error) {
+	return wire(plan, []int{plan.OutputNode()}, prec)
+}
+
+// NewShared builds a machine from a DAG-compiled shared plan
+// (ir.CompilePlans): the compile pass has already deduplicated
+// structurally identical subgraphs, folded redundant stages and fused
+// threshold chains, so construction is a straight wiring of the lowered
+// nodes. Each wake's Plan is the satisfied plan's index in sp.Sources.
+// All plans share the precision: shared nodes must compute identical
+// values for every consumer.
+func NewShared(prec Precision, sp *ir.SharedPlan) (*Machine, error) {
+	outs := make([]int, len(sp.Outputs))
+	for i, o := range sp.Outputs {
+		outs[i] = o.Out
+	}
+	return wire(sp.Plan, outs, prec)
+}
+
+// wire instantiates every node of a topologically ordered plan and routes
+// its edges; outs[i] is the ID of the node that feeds plan i's OUT.
+func wire(plan *core.Plan, outs []int, prec Precision) (*Machine, error) {
 	m := &Machine{
-		plan:    plan,
-		nodes:   make([]instance, len(plan.Nodes)),
+		nodes:   make([]node, len(plan.Nodes)),
 		byChan:  make(map[core.SensorChannel][]target),
-		byNode:  make([][]target, len(plan.Nodes)),
-		outNode: plan.OutputNode() - 1,
-		prec:    prec,
 		chanSeq: make(map[core.SensorChannel]int64),
+		prec:    prec,
 	}
 	for i := range plan.Nodes {
 		n := &plan.Nodes[i]
@@ -117,111 +157,100 @@ func NewPrecision(plan *core.Plan, prec Precision) (*Machine, error) {
 		if err != nil {
 			return nil, fmt.Errorf("interp: node %d (%s): %w", n.ID, n.Kind, err)
 		}
-		m.nodes[i] = inst
+		m.nodes[i] = node{inst: inst, cost: n.Cost, kind: n.Kind, planID: n.ID}
+		// Inputs reference earlier nodes only, so the upstream entries
+		// already exist.
 		for port, ref := range n.Inputs {
 			tg := target{node: i, port: port}
 			if ref.FromChannel() {
 				m.byChan[ref.Channel] = append(m.byChan[ref.Channel], tg)
 			} else {
-				m.byNode[ref.Node-1] = append(m.byNode[ref.Node-1], tg)
+				m.nodes[ref.Node-1].fanout = append(m.nodes[ref.Node-1].fanout, tg)
 			}
 		}
+	}
+	for pi, out := range outs {
+		m.nodes[out-1].outPlans = append(m.nodes[out-1].outPlans, pi)
 	}
 	return m, nil
 }
 
-// Plan returns the machine's bound plan.
-func (m *Machine) Plan() *core.Plan { return m.plan }
-
-// Precision returns the machine's numeric execution mode.
-func (m *Machine) Precision() Precision { return m.prec }
-
 // SetProfile attaches a telemetry profile: subsequent execution is
 // attributed per stage kind into the profile's StageStats. The handles are
-// interned once here, keeping PushSample at 0 allocs/op. A nil profile
+// interned once here, keeping the push paths at 0 allocs/op. A nil profile
 // detaches instrumentation.
 func (m *Machine) SetProfile(p *telemetry.InterpProfile) {
 	if p == nil {
 		m.stageStats = nil
 		return
 	}
-	m.stageStats = make([]*telemetry.StageStat, len(m.plan.Nodes))
-	for i := range m.plan.Nodes {
-		m.stageStats[i] = p.Stage(string(m.plan.Nodes[i].Kind))
+	m.stageStats = make([]*telemetry.StageStat, len(m.nodes))
+	for i := range m.nodes {
+		m.stageStats[i] = p.Stage(string(m.nodes[i].kind))
 	}
-}
-
-// Channels returns the sensor channels the machine consumes.
-func (m *Machine) Channels() []core.SensorChannel { return m.plan.Channels }
-
-// PushSample feeds one raw sensor sample into the condition and returns
-// any wake events it produced.
-func (m *Machine) PushSample(ch core.SensorChannel, sample float64) []WakeEvent {
-	m.wakes = m.wakes[:0]
-	m.bwakes = m.bwakes[:0]
-	m.off = 0
-	if m.prec == Q15 {
-		sample = dsp.QuantizeQ15(sample)
-	}
-	seq := m.chanSeq[ch]
-	m.chanSeq[ch] = seq + 1
-	v := Value{Seq: seq, Scalar: sample}
-	for _, tg := range m.byChan[ch] {
-		m.deliver(tg, v)
-	}
-	for i := range m.bwakes {
-		m.wakes = append(m.wakes, m.bwakes[i].WakeEvent)
-	}
-	return m.wakes
 }
 
 // deliver pushes a value into one node port and propagates any emission.
 func (m *Machine) deliver(tg target, v Value) {
-	node := &m.plan.Nodes[tg.node]
-	m.work = m.work.Add(node.Cost)
-	out, ok := m.nodes[tg.node].Push(tg.port, v)
+	n := &m.nodes[tg.node]
+	m.work = m.work.Add(n.cost)
+	out, ok := n.inst.Push(tg.port, v)
 	if m.stageStats != nil {
-		m.stageStats[tg.node].Record(node.Cost.FloatOps, node.Cost.IntOps, ok)
+		m.stageStats[tg.node].Record(n.cost.FloatOps, n.cost.IntOps, ok)
 	}
 	if !ok {
 		return
 	}
-	if tg.node == m.outNode {
-		m.appendWake(node.ID, out)
-	}
-	for _, next := range m.byNode[tg.node] {
+	m.appendWakes(n, out)
+	for _, next := range n.fanout {
 		m.deliver(next, out)
 	}
 }
 
-// appendWake records a wake at the current block offset, snapping the
-// admitted value onto the Q15 grid in fixed-point mode (wake egress
-// conversion: downstream consumers see what the MCU would report).
-func (m *Machine) appendWake(nodeID int, out Value) {
+// appendWakes records the node's wakes (one per plan it feeds OUT for) at
+// the current block offset, snapping the admitted value onto the Q15 grid
+// in fixed-point mode (wake egress conversion: downstream consumers see
+// what the MCU would report).
+func (m *Machine) appendWakes(n *node, out Value) {
+	if len(n.outPlans) == 0 {
+		return
+	}
 	val := out.Scalar
 	if m.prec == Q15 {
 		val = dsp.QuantizeQ15(val)
 	}
-	m.bwakes = append(m.bwakes, BlockWake{
-		Off:       m.off,
-		WakeEvent: WakeEvent{NodeID: nodeID, Value: val, Seq: out.Seq},
-	})
+	for _, pi := range n.outPlans {
+		m.wakes = append(m.wakes, Wake{Off: m.off, Plan: pi, NodeID: n.planID, Value: val, Seq: out.Seq})
+	}
 }
 
-// Work returns the cumulative work executed since construction or the last
-// ResetWork, in catalog cost units.
-func (m *Machine) Work() core.CostEstimate { return m.work }
+// sortWakes orders wakes by (offset, plan), stably. Wakes are rare, so
+// the insertion sort is a no-op almost always and, unlike sort.Slice,
+// never allocates.
+func sortWakes(ws []Wake) {
+	for i := 1; i < len(ws); i++ {
+		for j := i; j > 0 && wakeLess(ws[j], ws[j-1]); j-- {
+			ws[j], ws[j-1] = ws[j-1], ws[j]
+		}
+	}
+}
 
-// ResetWork zeroes the work meter.
-func (m *Machine) ResetWork() { m.work = core.CostEstimate{} }
+func wakeLess(a, b Wake) bool {
+	if a.Off != b.Off {
+		return a.Off < b.Off
+	}
+	return a.Plan < b.Plan
+}
+
+// Work returns the cumulative work executed since construction, in
+// catalog cost units.
+func (m *Machine) Work() core.CostEstimate { return m.work }
 
 // Reset restores every algorithm instance to its initial state and clears
 // sequence counters; the work meter is left untouched.
 func (m *Machine) Reset() {
-	for _, inst := range m.nodes {
-		inst.Reset()
+	for i := range m.nodes {
+		m.nodes[i].inst.Reset()
 	}
-	for ch := range m.chanSeq {
-		delete(m.chanSeq, ch)
-	}
+	clear(m.chanSeq)
 }

@@ -309,9 +309,9 @@ func TestWorkMeterAccumulates(t *testing.T) {
 	if w.FloatOps <= 0 {
 		t.Fatalf("work = %+v", w)
 	}
-	m.ResetWork()
-	if w := m.Work(); w.FloatOps != 0 {
-		t.Fatal("ResetWork did not clear the meter")
+	m.Reset()
+	if m.Work() != w {
+		t.Fatal("Reset must leave the work meter untouched")
 	}
 }
 
@@ -421,8 +421,8 @@ func TestJoinPruneBoundsMemory(t *testing.T) {
 	}
 	// Find the join instance and check its pending map.
 	var join *joinInst
-	for _, inst := range m.nodes {
-		if j, ok := inst.(*joinInst); ok {
+	for _, n := range m.nodes {
+		if j, ok := n.inst.(*joinInst); ok {
 			join = j
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"sidewinder/internal/core"
+	"sidewinder/internal/ir"
 )
 
 // twoWindowPlans builds two pipelines sharing an identical window stage
@@ -32,30 +33,27 @@ func twoWindowPlans(t *testing.T) (*core.Plan, *core.Plan) {
 	return pa, pb
 }
 
+// TestMergedSharesCommonPrefix: compiled together, the two plans share
+// their identical window stage, and the shared machine runs one instance
+// per lowered node.
 func TestMergedSharesCommonPrefix(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	m, err := NewMerged(pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, sp := mustShared(t, Float64, cseOnly, pa, pb)
 	// 3 + 3 plan nodes, window shared once -> 5 live nodes.
-	if m.NodeCount() != 5 {
-		t.Errorf("NodeCount = %d, want 5", m.NodeCount())
+	if sp.Stats.OutNodes != 5 || len(m.nodes) != 5 {
+		t.Errorf("live nodes = %d (machine %d), want 5", sp.Stats.OutNodes, len(m.nodes))
 	}
-	if m.SharedNodes() != 1 {
-		t.Errorf("SharedNodes = %d, want 1", m.SharedNodes())
+	if sp.Stats.Eliminated() != 1 {
+		t.Errorf("eliminated = %d, want 1", sp.Stats.Eliminated())
 	}
-	if len(m.Plans()) != 2 {
-		t.Errorf("Plans = %d", len(m.Plans()))
+	if len(sp.Sources) != 2 {
+		t.Errorf("sources = %d", len(sp.Sources))
 	}
 }
 
 func TestMergedMatchesSeparateMachines(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	merged, err := NewMerged(pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	merged, _ := mustShared(t, Float64, cseOnly, pa, pb)
 	ma, err := New(pa)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +88,7 @@ func TestMergedMatchesSeparateMachines(t *testing.T) {
 
 func TestMergedWorkLessThanSeparate(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	merged, _ := NewMerged(pa, pb)
+	merged, _ := mustShared(t, Float64, cseOnly, pa, pb)
 	ma, _ := New(pa)
 	mb, _ := New(pb)
 	for i := 0; i < 400; i++ {
@@ -109,35 +107,35 @@ func TestMergedWorkLessThanSeparate(t *testing.T) {
 func TestMergedIdenticalPlansFullSharing(t *testing.T) {
 	pa, _ := twoWindowPlans(t)
 	pa2, _ := twoWindowPlans(t)
-	m, err := NewMerged(pa, pa2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, sp := mustShared(t, Float64, cseOnly, pa, pa2)
 	// Fully identical plans: every node shared, one OUT node tagged for
 	// both plans.
-	if m.NodeCount() != 3 {
-		t.Errorf("NodeCount = %d, want 3", m.NodeCount())
+	if sp.Stats.OutNodes != 3 || len(m.nodes) != 3 {
+		t.Errorf("live nodes = %d (machine %d), want 3", sp.Stats.OutNodes, len(m.nodes))
 	}
-	if m.SharedNodes() != 3 {
-		t.Errorf("SharedNodes = %d, want 3", m.SharedNodes())
+	if sp.Stats.Eliminated() != 3 {
+		t.Errorf("eliminated = %d, want 3", sp.Stats.Eliminated())
 	}
-	fired := 0
+	var plans []int
 	for _, v := range []float64{3, 3, 3, 3} {
 		for _, w := range m.PushSample(core.Mic, v) {
-			fired++
-			_ = w
+			plans = append(plans, w.Plan)
 		}
 	}
-	if fired != 2 {
-		t.Errorf("identical plans should both fire: %d wakes, want 2", fired)
+	if len(plans) != 2 || plans[0] != 0 || plans[1] != 1 {
+		t.Errorf("identical plans should both fire, in plan order: got plans %v", plans)
 	}
 }
 
+// The demand tests below pin the billing the hub places a shared set on
+// (ir.Demand, default compile options), against the sharing the shared
+// machine executes.
+
 func TestMergedDemandDeduplicates(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	fBoth, iBoth, memBoth := MergedDemand(pa, pb)
-	fA, iA, memA := MergedDemand(pa)
-	fB, iB, memB := MergedDemand(pb)
+	fBoth, iBoth, memBoth := ir.Demand(ir.CompileOptions{}, pa, pb)
+	fA, iA, memA := ir.Demand(ir.CompileOptions{}, pa)
+	fB, iB, memB := ir.Demand(ir.CompileOptions{}, pb)
 	if fBoth >= fA+fB && iBoth >= iA+iB {
 		t.Errorf("merged demand (%.1f, %.1f) not below sum (%.1f, %.1f)", fBoth, iBoth, fA+fB, iA+iB)
 	}
@@ -152,18 +150,18 @@ func TestMergedDemandDeduplicates(t *testing.T) {
 
 func TestMergedResetAndWorkMeter(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	m, _ := NewMerged(pa, pb)
+	m, _ := mustShared(t, Float64, cseOnly, pa, pb)
 	for i := 0; i < 8; i++ {
 		m.PushSample(core.Mic, 3)
 	}
-	if w := m.Work(); w.IntOps == 0 && w.FloatOps == 0 {
+	w := m.Work()
+	if w.IntOps == 0 && w.FloatOps == 0 {
 		t.Error("work meter did not accumulate")
 	}
-	m.ResetWork()
-	if w := m.Work(); w.IntOps != 0 || w.FloatOps != 0 {
-		t.Error("ResetWork failed")
-	}
 	m.Reset()
+	if m.Work() != w {
+		t.Error("Reset must leave the work meter untouched")
+	}
 	// After reset the shared window must refill: 3 samples produce no
 	// wake even though values are high.
 	n := 0
@@ -175,9 +173,20 @@ func TestMergedResetAndWorkMeter(t *testing.T) {
 	}
 }
 
+// TestMergedValidation: an empty plan set does not compile, and a shared
+// plan holding a node the interpreter cannot instantiate fails to wire.
 func TestMergedValidation(t *testing.T) {
-	if _, err := NewMerged(); err == nil {
+	if _, err := ir.CompilePlans(core.DefaultCatalog(), cseOnly); err == nil {
 		t.Error("empty plan set should fail")
+	}
+	pa, pb := twoWindowPlans(t)
+	sp, err := ir.CompilePlans(core.DefaultCatalog(), cseOnly, pa, pb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.Plan.Nodes[len(sp.Plan.Nodes)-1].Kind = "martian"
+	if _, err := NewShared(Float64, sp); err == nil {
+		t.Error("unknown kind in a shared plan should fail")
 	}
 }
 
@@ -195,24 +204,21 @@ func TestMergedDistinctParamsNotShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMerged(pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, sp := mustShared(t, Float64, cseOnly, pa, pb)
 	// Different window sizes: nothing shared; stat/threshold differ
 	// because their inputs differ.
-	if m.SharedNodes() != 0 {
-		t.Errorf("SharedNodes = %d, want 0", m.SharedNodes())
+	if sp.Stats.Eliminated() != 0 {
+		t.Errorf("eliminated = %d, want 0", sp.Stats.Eliminated())
 	}
-	if m.NodeCount() != 6 {
-		t.Errorf("NodeCount = %d, want 6", m.NodeCount())
+	if len(m.nodes) != 6 {
+		t.Errorf("live nodes = %d, want 6", len(m.nodes))
 	}
 }
 
 func TestMergedDemandByStageSumsToTotal(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	wantF, wantI, wantMem := MergedDemand(pa, pb)
-	stages := MergedDemandByStage(pa, pb)
+	wantF, wantI, wantMem := ir.Demand(ir.CompileOptions{}, pa, pb)
+	stages := ir.DemandByKind(ir.CompileOptions{}, pa, pb)
 	if len(stages) == 0 {
 		t.Fatal("no stage demand reported")
 	}
@@ -228,19 +234,21 @@ func TestMergedDemandByStageSumsToTotal(t *testing.T) {
 		nodes += sd.Nodes
 	}
 	if gotF != wantF || gotI != wantI || gotMem != wantMem {
-		t.Errorf("per-stage sums (%g, %g, %d) != MergedDemand (%g, %g, %d)",
+		t.Errorf("per-stage sums (%g, %g, %d) != ir.Demand (%g, %g, %d)",
 			gotF, gotI, gotMem, wantF, wantI, wantMem)
 	}
-	// 3 + 3 plan nodes with the window shared once -> 5 distinct instances.
-	if nodes != 5 {
-		t.Errorf("distinct nodes = %d, want 5", nodes)
+	// 3 + 3 plan nodes with the window shared once -> 5 distinct
+	// instances, exactly as many as the shared machine runs.
+	m, _ := mustShared(t, Float64, ir.CompileOptions{}, pa, pb)
+	if nodes != 5 || len(m.nodes) != nodes {
+		t.Errorf("distinct nodes = %d (machine %d), want 5", nodes, len(m.nodes))
 	}
 }
 
 func TestMergedDemandByStageDeduplicates(t *testing.T) {
 	pa, _ := twoWindowPlans(t)
-	once := MergedDemandByStage(pa)
-	twice := MergedDemandByStage(pa, pa)
+	once := ir.DemandByKind(ir.CompileOptions{}, pa)
+	twice := ir.DemandByKind(ir.CompileOptions{}, pa, pa)
 	if len(once) != len(twice) {
 		t.Fatalf("duplicate plan changed stage count: %d vs %d", len(once), len(twice))
 	}
@@ -254,9 +262,12 @@ func TestMergedDemandByStageDeduplicates(t *testing.T) {
 
 func TestDemandAccumulatorMatchesMergedDemand(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
-	acc := NewDemandAccumulator()
+	demand := func(plans ...*core.Plan) (float64, float64, int) {
+		return ir.Demand(ir.CompileOptions{}, plans...)
+	}
+	acc := ir.NewDemandAccumulator(ir.CompileOptions{})
 	mf, mi, mmem := acc.Marginal(pa)
-	wf, wi, wmem := MergedDemand(pa)
+	wf, wi, wmem := demand(pa)
 	if mf != wf || mi != wi || mmem != wmem {
 		t.Errorf("first marginal (%g,%g,%d) != plan demand (%g,%g,%d)", mf, mi, mmem, wf, wi, wmem)
 	}
@@ -264,7 +275,7 @@ func TestDemandAccumulatorMatchesMergedDemand(t *testing.T) {
 	// The second plan's marginal excludes the shared window prefix, so at
 	// least one resource column must come out strictly cheaper.
 	mf, mi, mmem = acc.Marginal(pb)
-	bf, bi, bmem := MergedDemand(pb)
+	bf, bi, bmem := demand(pb)
 	if mf > bf || mi > bi || mmem > bmem {
 		t.Errorf("marginal (%g,%g,%d) exceeds standalone (%g,%g,%d)", mf, mi, mmem, bf, bi, bmem)
 	}
@@ -272,9 +283,9 @@ func TestDemandAccumulatorMatchesMergedDemand(t *testing.T) {
 		t.Errorf("marginal equals standalone — shared prefix not discounted")
 	}
 	f, i, mem := acc.Commit(pb)
-	wf, wi, wmem = MergedDemand(pa, pb)
+	wf, wi, wmem = demand(pa, pb)
 	if f != wf || i != wi || mem != wmem {
-		t.Errorf("accumulated (%g,%g,%d) != MergedDemand (%g,%g,%d)", f, i, mem, wf, wi, wmem)
+		t.Errorf("accumulated (%g,%g,%d) != ir.Demand (%g,%g,%d)", f, i, mem, wf, wi, wmem)
 	}
 	// Committing a duplicate changes nothing.
 	f2, i2, mem2 := acc.Commit(pa)

@@ -80,10 +80,7 @@ func TestRandomMergedConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged, err := NewMerged(pa, pb)
-		if err != nil {
-			t.Fatalf("pair %d: %v", i, err)
-		}
+		merged, _ := mustShared(t, Float64, cseOnly, pa, pb)
 		ma, err := New(pa)
 		if err != nil {
 			t.Fatal(err)

@@ -91,27 +91,17 @@ func TestResetEquivalentToFreshShared(t *testing.T) {
 		plan.Name = app.Name
 		plans = append(plans, plan)
 	}
-	sp, err := ir.CompilePlans(cat, ir.CompileOptions{}, plans...)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sig := resetSignal(6000, 2)
 	for _, prec := range []Precision{Float64, Q15} {
 		for _, mk := range []struct {
-			name  string
-			build func() (*Merged, error)
+			name string
+			opts ir.CompileOptions
 		}{
-			{"merged", func() (*Merged, error) { return NewMergedPrecision(prec, plans...) }},
-			{"shared", func() (*Merged, error) { return NewShared(prec, sp) }},
+			{"merged", cseOnly},
+			{"shared", ir.CompileOptions{}},
 		} {
-			fresh, err := mk.build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			used, err := mk.build()
-			if err != nil {
-				t.Fatal(err)
-			}
+			fresh, _ := mustShared(t, prec, mk.opts, plans...)
+			used, _ := mustShared(t, prec, mk.opts, plans...)
 			used.PushBlock(core.Mic, sig[:3100])
 			used.Reset()
 

@@ -192,18 +192,15 @@ func mergedWakeInput(n int) []float64 {
 }
 
 // TestMergedWakeAttributionMatchesSolo: running mixed plans that share a
-// common prefix on one Merged machine must produce TaggedWake events whose
-// per-plan counts — and values, in order — match running each plan on its
-// own interpreter. Sharing is an optimization, never a semantic change.
+// common prefix on one shared machine must produce wakes whose per-plan
+// counts — and values, in order — match running each plan on its own
+// interpreter. Sharing is an optimization, never a semantic change.
 func TestMergedWakeAttributionMatchesSolo(t *testing.T) {
 	pa, pb := twoWindowPlans(t)
 
-	merged, err := NewMerged(pa, pb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged.SharedNodes() == 0 {
-		t.Fatal("plans share a common prefix but merged machine deduplicated nothing")
+	merged, sp := mustShared(t, Float64, cseOnly, pa, pb)
+	if sp.Stats.Eliminated() == 0 {
+		t.Fatal("plans share a common prefix but the compile pass deduplicated nothing")
 	}
 	prof := telemetry.NewInterpProfile()
 	merged.SetProfile(prof)
@@ -218,14 +215,14 @@ func TestMergedWakeAttributionMatchesSolo(t *testing.T) {
 	}
 
 	samples := mergedWakeInput(4096)
-	var mergedWakes [2][]WakeEvent
-	var soloWakes [2][]WakeEvent
+	var mergedWakes [2][]Wake
+	var soloWakes [2][]Wake
 	for _, s := range samples {
 		for _, tw := range merged.PushSample(core.Mic, s) {
 			if tw.Plan < 0 || tw.Plan > 1 {
-				t.Fatalf("TaggedWake with out-of-range plan %d", tw.Plan)
+				t.Fatalf("wake with out-of-range plan %d", tw.Plan)
 			}
-			mergedWakes[tw.Plan] = append(mergedWakes[tw.Plan], tw.WakeEvent)
+			mergedWakes[tw.Plan] = append(mergedWakes[tw.Plan], tw)
 		}
 		soloWakes[0] = append(soloWakes[0], soloA.PushSample(core.Mic, s)...)
 		soloWakes[1] = append(soloWakes[1], soloB.PushSample(core.Mic, s)...)

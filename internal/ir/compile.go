@@ -190,7 +190,9 @@ func CompilePlans(cat *core.Catalog, opts CompileOptions, plans ...*core.Plan) (
 
 // CompilePlan compiles a single pipeline through the DAG pass and returns
 // a plan with the standard single-pipeline invariant restored: the output
-// node is last, so interp.New and ir.Compile accept it unchanged.
+// node is last, so Plan.OutputNode finds it and the plan runs on a
+// single-plan machine (interp.NewPrecision) or lowers through ir.Compile
+// unchanged.
 func CompilePlan(cat *core.Catalog, opts CompileOptions, plan *core.Plan) (*core.Plan, CompileStats, error) {
 	sp, err := CompilePlans(cat, opts, plan)
 	if err != nil {

@@ -97,3 +97,33 @@ func TestFeedBlockMatchesFeed(t *testing.T) {
 		}
 	}
 }
+
+// TestFeedSteadyStateAllocs pins the hub's per-sample path in tier 1: Feed
+// is a one-sample FeedBlock through hub-owned storage and must not
+// allocate once the machine is warm (wakes are suppressed, so no frames
+// are built).
+func TestFeedSteadyStateAllocs(t *testing.T) {
+	tb := newBed(t)
+	p := core.NewPipeline("mic-energy")
+	p.AddBranch(core.NewBranch(core.Mic).
+		Add(core.Window(64, 32, "")).
+		Add(core.Stat("rms")).
+		Add(core.MinThreshold(1e18)))
+	if _, _, err := tb.Push(p, ListenerFunc(func(Event) {})); err != nil {
+		t.Fatal(err)
+	}
+	sig := micBurst(2000)
+	for _, v := range sig {
+		if err := tb.Hub.Feed(core.Mic, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		tb.Hub.Feed(core.Mic, sig[i%len(sig)])
+		i++
+	})
+	if allocs != 0 {
+		t.Errorf("HubNode.Feed allocates %.2f allocs/op in steady state, want 0", allocs)
+	}
+}

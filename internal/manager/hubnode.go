@@ -38,10 +38,12 @@ type HubNode struct {
 	device hub.Device
 	placed bool
 
-	// merged executes all loaded conditions with common-prefix sharing
-	// (paper §7); mergedIDs maps its plan indices back to condition IDs.
-	merged    *interp.Merged
-	mergedIDs []uint16
+	// merged executes all loaded conditions as one shared graph (paper
+	// §7); mergedIDs maps its plan indices back to condition IDs, and
+	// sharedNodes counts the plan nodes the compile pass eliminated.
+	merged      *interp.Machine
+	mergedIDs   []uint16
+	sharedNodes int
 
 	// Raw-sample ring buffers per channel feed the post-wake-up data
 	// delivery (paper §3.8: "Our current implementation passes a buffer
@@ -57,6 +59,8 @@ type HubNode struct {
 	wakesSent int
 	dropped   int
 	dead      int
+	// one backs Feed's one-sample block.
+	one [1]float64
 
 	// crash is the optional fault injector (nil = immortal hub). epoch is
 	// the boot counter echoed in heartbeat pongs; a state-losing crash
@@ -368,7 +372,7 @@ func (h *HubNode) rebuild() error {
 		c := h.conds[id]
 		plans[i] = adjustedPlan(c.plan, c.tuner.factor)
 	}
-	fOps, iOps, mem := interp.MergedDemand(plans...)
+	fOps, iOps, mem := ir.Demand(ir.CompileOptions{}, plans...)
 	dev, err := hub.SelectDeviceForDemand(h.devices, fOps, iOps, mem)
 	if err != nil {
 		return err
@@ -387,59 +391,28 @@ func (h *HubNode) rebuild() error {
 	merged.SetProfile(h.profile)
 	h.merged = merged
 	h.mergedIDs = ids
+	h.sharedNodes = sp.Stats.Eliminated()
 	h.device = dev
 	h.placed = true
 	return nil
 }
 
-// Feed delivers one raw sensor sample to the merged condition set.
-// Satisfied conditions emit a data buffer followed by a wake frame.
+// Feed delivers one raw sensor sample to the merged condition set: a
+// one-sample FeedBlock. Satisfied conditions emit a data buffer followed
+// by a wake frame.
 func (h *HubNode) Feed(ch core.SensorChannel, v float64) error {
-	if h.crash.Down() {
-		// A crashed hub samples nothing; the event, if any, is gone
-		// unless phone-side fallback sensing covers the window.
-		h.samplesLost++
-		return nil
-	}
-	if r := h.rings[ch]; r != nil {
-		r.push(v)
-	}
-	h.counts[ch]++
-	if h.merged == nil {
-		return nil
-	}
-	for _, wake := range h.merged.PushSample(ch, v) {
-		id := h.mergedIDs[wake.Plan]
-		c := h.conds[id]
-		// Raw data first so the manager has it when the wake callback
-		// fires.
-		for _, pc := range c.plan.Channels {
-			if r := h.rings[pc]; r != nil {
-				payload := encodeData(c.id, pc, r.snapshot())
-				if err := h.ep.Send(link.Frame{Type: link.MsgData, Payload: payload}); err != nil {
-					return err
-				}
-			}
-		}
-		payload := encodeWake(c.id, wake.Value, h.counts[ch]-1)
-		if err := h.ep.Send(link.Frame{Type: link.MsgWake, Payload: payload}); err != nil {
-			return err
-		}
-		h.wakesSent++
-		h.cWakesSent.Inc()
-		h.trace.Instant2("wake.sent", "hub", "cond", float64(c.id), "value", wake.Value)
-	}
-	return nil
+	h.one[0] = v
+	return h.FeedBlock(ch, h.one[:])
 }
 
 // FeedBlock delivers a whole block of raw samples from one channel on the
-// interpreter's block fast path. Observationally identical to calling Feed
-// once per sample: the raw-data ring is advanced incrementally up to each
-// wake's offset before its data/wake frames are emitted, so snapshots and
-// sample indices match the per-sample path exactly. Callers mixing several
-// channels must keep using Feed — block-feeding channels sequentially
-// would let one channel's ring run ahead of the others' inside a wake's
-// data snapshot.
+// interpreter's block path. Observationally identical to feeding the
+// samples one at a time: the raw-data ring is advanced incrementally up to
+// each wake's offset before its data/wake frames are emitted, so snapshots
+// and sample indices match the per-sample path exactly. Callers mixing
+// several channels must keep using Feed — block-feeding channels
+// sequentially would let one channel's ring run ahead of the others'
+// inside a wake's data snapshot.
 func (h *HubNode) FeedBlock(ch core.SensorChannel, samples []float64) error {
 	if h.crash.Down() {
 		// Crash state only changes inside Service, so it is constant
@@ -523,5 +496,5 @@ func (h *HubNode) SharedNodes() int {
 	if h.merged == nil {
 		return 0
 	}
-	return h.merged.SharedNodes()
+	return h.sharedNodes
 }

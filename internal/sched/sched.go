@@ -29,7 +29,7 @@ import (
 
 	"sidewinder/internal/core"
 	"sidewinder/internal/hub"
-	"sidewinder/internal/interp"
+	"sidewinder/internal/ir"
 )
 
 // FallbackDeviceName is the placement Status/reports show for a condition
@@ -243,7 +243,7 @@ func (s *Scheduler) Utilization() (cycleFrac, ramFrac float64, sharedNodes int) 
 			mem += p.TotalMemory()
 		}
 	} else {
-		f, i, mem = interp.MergedDemand(plans...)
+		f, i, mem = ir.Demand(ir.CompileOptions{}, plans...)
 		for _, p := range plans {
 			sharedNodes += len(p.Nodes)
 		}
@@ -262,7 +262,7 @@ func (s *Scheduler) Utilization() (cycleFrac, ramFrac float64, sharedNodes int) 
 // once), via the per-stage demand breakdown.
 func distinctNodes(plans []*core.Plan) int {
 	n := 0
-	for _, sd := range interp.MergedDemandByStage(plans...) {
+	for _, sd := range ir.DemandByKind(ir.CompileOptions{}, plans...) {
 		n += sd.Nodes
 	}
 	return n
@@ -300,7 +300,7 @@ func (s *Scheduler) recompute(changed uint16) Delta {
 			}
 		}
 	} else {
-		acc := interp.NewDemandAccumulator()
+		acc := ir.NewDemandAccumulator(ir.CompileOptions{})
 		for _, c := range order {
 			mf, mi, mmem := acc.Marginal(c.plan)
 			f, i, mem := acc.Total()

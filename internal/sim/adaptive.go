@@ -137,10 +137,8 @@ func (t *truthTracker) expire(i int, phoneOpen bool) int {
 
 // adaptiveProgram is one compiled, admitted hub configuration.
 type adaptiveProgram struct {
-	machine  *interp.Machine
-	channels [][]float64
-	chNames  []core.SensorChannel
-	powerMW  float64
+	feed    hubFeed
+	powerMW float64
 }
 
 // Run implements Strategy.
@@ -198,19 +196,14 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		if err != nil {
 			return nil, err
 		}
-		p := &adaptiveProgram{machine: m, powerMW: dev.LoadPowerMW(f, i)}
 		if profile != nil {
 			m.SetProfile(profile)
 		}
-		for _, ch := range exec.Channels {
-			samples, ok := tr.Channels[ch]
-			if !ok {
-				return nil, fmt.Errorf("sim: trace %q lacks channel %s required by %s", tr.Name, ch, app.Name)
-			}
-			p.channels = append(p.channels, samples)
-			p.chNames = append(p.chNames, ch)
+		feed, err := newHubFeed(m, tr, exec.Channels, app.Name)
+		if err != nil {
+			return nil, err
 		}
-		return p, nil
+		return &adaptiveProgram{feed: feed, powerMW: dev.LoadPowerMW(f, i)}, nil
 	}
 
 	cur, err := build(engine.Knobs())
@@ -281,19 +274,8 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		if pending != nil {
 			cur, pending = pending, nil
 		}
-		end := blockStart + simBlock
-		if end > tr.Len() {
-			end = tr.Len()
-		}
-		f := fired[:end-blockStart]
-		for k := range f {
-			f[k] = false
-		}
-		for ci, samples := range cur.channels {
-			for _, w := range cur.machine.PushBlock(cur.chNames[ci], samples[blockStart:end]) {
-				f[w.Off] = true
-			}
-		}
+		end := min(blockStart+simBlock, tr.Len())
+		f := cur.feed.fire(blockStart, end, fired)
 		hubMJ += cur.powerMW * float64(end-blockStart) * dt
 		staticMJ += staticMW * float64(end-blockStart) * dt
 		for k := range f {

@@ -23,7 +23,7 @@ import (
 // deterministic RNG, runs the admission controller to place the mix on
 // the cheapest hub device that admits everything (falling back to the
 // most capable device plus phone-side degradation when none does), then
-// replays the admitted set on a shared merged interpreter while the
+// replays the admitted set on one shared-plan interpreter while the
 // degraded remainder is billed as duty-cycled fallback sensing.
 //
 // The sweep is an analytic population model on top of the interpreter —
@@ -271,43 +271,25 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand, sleepSec float64) (FleetCell,
 		}
 		// Union of the admitted plans' channels, in first-use order.
 		var chNames []core.SensorChannel
-		var channels [][]float64
 		seen := map[core.SensorChannel]bool{}
 		for _, plan := range hubPlans {
 			for _, ch := range plan.Channels {
-				if seen[ch] {
-					continue
+				if !seen[ch] {
+					seen[ch] = true
+					chNames = append(chNames, ch)
 				}
-				seen[ch] = true
-				samples, ok := tr.Channels[ch]
-				if !ok {
-					return cell, fmt.Errorf("sim: trace %q lacks channel %s", tr.Name, ch)
-				}
-				chNames = append(chNames, ch)
-				channels = append(channels, samples)
 			}
+		}
+		feed, err := newHubFeed(m, tr, chNames, "the admitted set")
+		if err != nil {
+			return cell, err
 		}
 
 		hold := int(swIdleHoldSec * tr.RateHz)
 		lastFire := -1
-		// Block fast path: push whole chunks through the merged machine,
-		// spread wake offsets onto a fired bitmap, and replay the phone
-		// state machine per sample — identical to the per-sample loop.
 		fired := make([]bool, simBlock)
 		for base := 0; base < tr.Len(); base += simBlock {
-			end := base + simBlock
-			if end > tr.Len() {
-				end = tr.Len()
-			}
-			f := fired[:end-base]
-			for k := range f {
-				f[k] = false
-			}
-			for ci := range channels {
-				for _, w := range m.PushBlock(chNames[ci], channels[ci][base:end]) {
-					f[w.Off] = true
-				}
-			}
+			f := feed.fire(base, min(base+simBlock, tr.Len()), fired)
 			for k := range f {
 				i := base + k
 				if f[k] {

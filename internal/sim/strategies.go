@@ -33,6 +33,45 @@ const (
 
 // ---------------------------------------------------------------- helpers
 
+// hubFeed is a hub machine bound to the trace channels it consumes.
+type hubFeed struct {
+	m     *interp.Machine
+	names []core.SensorChannel
+	chans [][]float64
+}
+
+// newHubFeed binds m to the trace's samples for chs; who names the
+// condition set in the missing-channel error.
+func newHubFeed(m *interp.Machine, tr *sensor.Trace, chs []core.SensorChannel, who string) (hubFeed, error) {
+	h := hubFeed{m: m, names: chs, chans: make([][]float64, len(chs))}
+	for i, ch := range chs {
+		samples, ok := tr.Channels[ch]
+		if !ok {
+			return hubFeed{}, fmt.Errorf("sim: trace %q lacks channel %s required by %s", tr.Name, ch, who)
+		}
+		h.chans[i] = samples
+	}
+	return h, nil
+}
+
+// fire pushes samples [base, end) of every channel through the machine on
+// the block path and returns buf[:end-base] with each sample that
+// triggered a wake marked. Replaying the bitmap sample by sample is
+// byte-identical to a per-sample interpreter loop. A channel shorter than
+// end contributes the samples it has.
+func (h hubFeed) fire(base, end int, buf []bool) []bool {
+	f := buf[:end-base]
+	clear(f)
+	for i, ch := range h.names {
+		if e := min(end, len(h.chans[i])); e > base {
+			for _, w := range h.m.PushBlock(ch, h.chans[i][base:e]) {
+				f[w.Off] = true
+			}
+		}
+	}
+	return f
+}
+
 // clock tracks simulated time against a phone state machine. When a
 // telemetry clock is attached, simulated time is mirrored into it so
 // trace streams stamp events at the right position on the timeline.
@@ -462,41 +501,20 @@ func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 		m.SetProfile(profile)
 	}
 
-	channels := make([][]float64, 0, len(exec.Channels))
-	chNames := make([]core.SensorChannel, 0, len(exec.Channels))
-	for _, ch := range exec.Channels {
-		samples, ok := tr.Channels[ch]
-		if !ok {
-			return nil, fmt.Errorf("sim: trace %q lacks channel %s required by %s", tr.Name, ch, app.Name)
-		}
-		channels = append(channels, samples)
-		chNames = append(chNames, ch)
+	feed, err := newHubFeed(m, tr, exec.Channels, app.Name)
+	if err != nil {
+		return nil, err
 	}
 
 	var intervals []Interval
 	openStart := -1
 	lastFire := -1
 
-	// The hub interpreter runs on the block fast path: each chunk is pushed
-	// whole and the resulting wake offsets are spread onto a fired bitmap,
-	// then the phone state machine replays the chunk sample by sample. The
-	// bitmap preserves the per-sample fired sequence exactly, so the power
-	// timeline and telemetry are byte-identical to the per-sample loop.
+	// The hub interpreter runs on the block path (hubFeed.fire); the phone
+	// state machine then replays each chunk sample by sample.
 	fired := make([]bool, simBlock)
 	for base := 0; base < tr.Len(); base += simBlock {
-		end := base + simBlock
-		if end > tr.Len() {
-			end = tr.Len()
-		}
-		f := fired[:end-base]
-		for k := range f {
-			f[k] = false
-		}
-		for ci, samples := range channels {
-			for _, w := range m.PushBlock(chNames[ci], samples[base:end]) {
-				f[w.Off] = true
-			}
-		}
+		f := feed.fire(base, min(base+simBlock, tr.Len()), fired)
 		for k := range f {
 			i := base + k
 			if f[k] {
