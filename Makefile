@@ -28,8 +28,11 @@ verify: build vet staticcheck race
 build:
 	$(GO) build ./...
 
+# vet also fails on any file gofmt would rewrite (perfbench/ included).
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 # staticcheck runs when the binary is on PATH (CI installs it); on a bare
 # toolchain `make verify` still passes but says so LOUDLY — a silent skip

@@ -30,7 +30,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -126,14 +125,7 @@ func run(irPath, tracePath, deviceName string, verbose bool, metricsFile, traceO
 	// Opt-in telemetry: counters + ledger behind -metrics, execution trace
 	// behind -traceout. All handles are nil-safe, so the replay loop below
 	// is identical with and without them.
-	var set telemetry.Set
-	if metricsFile != "" {
-		set.Metrics = telemetry.NewRegistry()
-		set.Ledger = telemetry.NewLedger()
-	}
-	if traceOutFile != "" {
-		set.Tracer = telemetry.NewTracer()
-	}
+	set := telemetry.ForFiles(metricsFile, traceOutFile)
 	var (
 		clk     *telemetry.Clock
 		stream  *telemetry.Stream
@@ -245,12 +237,12 @@ func finishRun(tr *sensor.Trace, dev hub.Device, machine *interp.Machine,
 	set telemetry.Set, stream *telemetry.Stream, profile *telemetry.InterpProfile,
 	metricsFile, traceOutFile string, wakes, samplesLost, stateWipes, n int) error {
 	work := machine.Work()
-	cycles := work.FloatOps*dev.CyclesPerFloatOp + work.IntOps*dev.CyclesPerIntOp
+	cycles := dev.Cycles(work.FloatOps, work.IntOps)
 	seconds := float64(n) / tr.RateHz
 	wakesPerMin, budgetPct := 0.0, 0.0
 	if seconds > 0 {
 		wakesPerMin = float64(wakes) / (seconds / 60)
-		budgetPct = cycles / seconds / (dev.ClockHz * dev.MaxUtilization) * 100
+		budgetPct = cycles / seconds / dev.CycleBudget() * 100
 	}
 	fmt.Printf("replayed %s: %d samples/channel over %v\n", tr.Name, n, tr.Duration().Round(time.Second))
 	fmt.Printf("wake-ups: %d (%.2f per minute)\n", wakes, wakesPerMin)
@@ -265,19 +257,10 @@ func finishRun(tr *sensor.Trace, dev hub.Device, machine *interp.Machine,
 	if set.Enabled() {
 		if led := set.LedgerSink(); led != nil {
 			led.AddEnergyMJ(telemetry.HubDevice, dev.ActivePowerMW*seconds)
-			profile.DepositCycles(led, dev.CyclesPerFloatOp, dev.CyclesPerIntOp)
+			profile.DepositCycles(led, dev.Cycles)
 		}
-		// Per-stage execution spans: consecutive spans whose durations are
-		// the stages' cycle counts on this device's clock.
-		at := 0.0
-		for _, st := range profile.Stages() {
-			stageCycles := st.FloatOps*dev.CyclesPerFloatOp + st.IntOps*dev.CyclesPerIntOp
-			if dur := stageCycles / dev.ClockHz; dur > 0 {
-				stream.Span(st.Kind, "stage", at, dur)
-				at += dur
-			}
-		}
-		if err := writeTelemetry(set, metricsFile, traceOutFile); err != nil {
+		profile.EmitStageSpans(stream, dev.Cycles, dev.ClockHz)
+		if err := set.WriteFiles(metricsFile, traceOutFile); err != nil {
 			return err
 		}
 	}
@@ -293,68 +276,13 @@ func printStaticDemand(plan *core.Plan, dev hub.Device) {
 	var totalCycles float64
 	var totalMem int
 	for _, sd := range stages {
-		cycles := sd.FloatOpsPerSec*dev.CyclesPerFloatOp + sd.IntOpsPerSec*dev.CyclesPerIntOp
+		cycles := dev.Cycles(sd.FloatOpsPerSec, sd.IntOpsPerSec)
 		totalCycles += cycles
 		totalMem += sd.MemoryBytes
 		fmt.Printf("  %-16s x%d  %10.0f cycles/s  %6d B\n", sd.Kind, sd.Nodes, cycles, sd.MemoryBytes)
 	}
 	fmt.Printf("  %-16s     %10.0f cycles/s  %6d B  (budget %.0f cycles/s, %d B)\n",
-		"total", totalCycles, totalMem, dev.ClockHz*dev.MaxUtilization, dev.RAMBytes)
-}
-
-// writeTelemetry exports the collected sinks: the metrics file carries the
-// registry and ledger (one JSON object for .json names, aligned text
-// otherwise); the trace file is Chrome trace_event JSON.
-func writeTelemetry(set telemetry.Set, metricsFile, traceFile string) error {
-	if metricsFile != "" {
-		f, err := os.Create(metricsFile)
-		if err != nil {
-			return err
-		}
-		if strings.HasSuffix(metricsFile, ".json") {
-			_, err = io.WriteString(f, `{"metrics":`)
-			if err == nil {
-				err = set.Metrics.WriteJSON(f)
-			}
-			if err == nil {
-				_, err = io.WriteString(f, `,"ledger":`)
-			}
-			if err == nil {
-				err = set.Ledger.WriteJSON(f)
-			}
-			if err == nil {
-				_, err = io.WriteString(f, "}\n")
-			}
-		} else {
-			err = set.Metrics.WriteText(f)
-			if err == nil {
-				_, err = io.WriteString(f, "\n")
-			}
-			if err == nil {
-				err = set.Ledger.WriteText(f)
-			}
-		}
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing metrics: %w", err)
-		}
-	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return err
-		}
-		err = set.Tracer.WriteJSON(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
-	}
-	return nil
+		"total", totalCycles, totalMem, dev.CycleBudget(), dev.RAMBytes)
 }
 
 // parseCrashProfile parses the -crash-profile spec: comma-separated

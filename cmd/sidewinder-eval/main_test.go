@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"sidewinder/internal/eval"
+	"sidewinder/internal/telemetry"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -62,12 +63,12 @@ func TestTelemetryFlagsWriteFiles(t *testing.T) {
 		RobotRunDuration: time.Minute,
 		AudioDuration:    30 * time.Second,
 		HumanDuration:    time.Minute,
-		Telemetry:        telemetrySet(metricsFile, traceFile),
+		Telemetry:        telemetry.ForFiles(metricsFile, traceFile),
 	}
 	if err := run(io.Discard, io.Discard, "link", opts); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeTelemetry(opts.Telemetry, metricsFile, traceFile); err != nil {
+	if err := opts.Telemetry.WriteFiles(metricsFile, traceFile); err != nil {
 		t.Fatal(err)
 	}
 

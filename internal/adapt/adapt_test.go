@@ -7,7 +7,6 @@ import (
 	"sidewinder/internal/core"
 	"sidewinder/internal/hub"
 	"sidewinder/internal/interp"
-	"sidewinder/internal/sched"
 )
 
 // testPlan builds accelX -> window -> stat -> minThreshold, the shape of
@@ -256,8 +255,7 @@ func TestReparameterizeDecimation(t *testing.T) {
 	}
 	bf, bi := base.TotalOpsPerSecond()
 	gf, gi := got.TotalOpsPerSecond()
-	db := hub.MSP430()
-	if gf*db.CyclesPerFloatOp+gi*db.CyclesPerIntOp >= bf*db.CyclesPerFloatOp+bi*db.CyclesPerIntOp {
+	if db := hub.MSP430(); db.Cycles(gf, gi) >= db.Cycles(bf, bi) {
 		t.Fatalf("decimation did not reduce cycle demand: (%g,%g) vs (%g,%g)", gf, gi, bf, bi)
 	}
 }
@@ -370,20 +368,7 @@ func TestDemandQ15Rebilling(t *testing.T) {
 		t.Fatalf("ops not conserved: %g != %g", ff+fi, qf+qi)
 	}
 	// On the FPU-less MSP430 the rebilling is a large cycle win.
-	d := hub.MSP430()
-	b := sched.BudgetFor(d)
-	if b.Cycles(qf, qi) >= b.Cycles(ff, fi) {
+	if d := hub.MSP430(); d.Cycles(qf, qi) >= d.Cycles(ff, fi) {
 		t.Fatal("Q15 did not reduce MSP430 cycles")
-	}
-}
-
-func TestFitsBudget(t *testing.T) {
-	plan := testPlan(t)
-	if !FitsBudget(sched.BudgetFor(hub.MSP430()), plan, interp.Float64) {
-		t.Fatal("accel condition does not fit the MSP430")
-	}
-	tiny := sched.Budget{Device: hub.MSP430(), CyclesPerSec: 1, RAMBytes: 1}
-	if FitsBudget(tiny, plan, interp.Float64) {
-		t.Fatal("plan fits a 1-cycle budget")
 	}
 }

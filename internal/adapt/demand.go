@@ -3,7 +3,6 @@ package adapt
 import (
 	"sidewinder/internal/core"
 	"sidewinder/internal/interp"
-	"sidewinder/internal/sched"
 )
 
 // q15Kinds are the stages the interpreter executes on the fixed-point
@@ -44,12 +43,4 @@ func Demand(plan *core.Plan, prec interp.Precision) (floatOps, intOps float64, m
 		memoryBytes += n.Memory
 	}
 	return floatOps, intOps, memoryBytes
-}
-
-// FitsBudget reports whether a plan's precision-aware demand fits a
-// scheduler budget — the re-admission check every adaptation must clear
-// before the hub may run it.
-func FitsBudget(b sched.Budget, plan *core.Plan, prec interp.Precision) bool {
-	f, i, mem := Demand(plan, prec)
-	return b.Fits(f, i, mem)
 }

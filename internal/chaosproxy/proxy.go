@@ -171,15 +171,31 @@ func (p *Proxy) logf(format string, args ...any) {
 	}
 }
 
-func (p *Proxy) track(c net.Conn) {
+// track registers a connection pair so Close can interrupt its pumps. A
+// pair that arrives after Close has swept the set — the upstream dial was
+// still in flight — is closed here instead, so its pumps exit at once
+// rather than blocking Close's wait forever.
+func (p *Proxy) track(conns ...net.Conn) {
 	p.mu.Lock()
-	p.conns[c] = struct{}{}
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	select {
+	case <-p.done:
+		for _, c := range conns {
+			c.Close()
+		}
+		return
+	default:
+	}
+	for _, c := range conns {
+		p.conns[c] = struct{}{}
+	}
 }
 
-func (p *Proxy) untrack(c net.Conn) {
+func (p *Proxy) untrack(conns ...net.Conn) {
 	p.mu.Lock()
-	delete(p.conns, c)
+	for _, c := range conns {
+		delete(p.conns, c)
+	}
 	p.mu.Unlock()
 }
 
@@ -206,10 +222,8 @@ func (p *Proxy) handle(client net.Conn, idx uint64) {
 		return
 	}
 	defer server.Close()
-	p.track(client)
-	p.track(server)
-	defer p.untrack(client)
-	defer p.untrack(server)
+	p.track(client, server)
+	defer p.untrack(client, server)
 
 	var wg sync.WaitGroup
 	wg.Add(2)

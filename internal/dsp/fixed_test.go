@@ -16,18 +16,18 @@ func TestToQ15Rounding(t *testing.T) {
 		{-1, -Q15One},
 		{0.5, Q15One / 2},
 		{1.0 / Q15One, 1},
-		{0.4999 / Q15One, 0},      // below half a step rounds to zero
-		{0.5 / Q15One, 1},         // half a step rounds away from zero
-		{-0.5 / Q15One, -1},       // ... in both directions
-		{65535.99999, Q15Max},     // at the positive rail
-		{-65536.00001, Q15Min},    // past the negative rail
-		{math.Inf(1), Q15Max},     // infinities saturate
-		{math.Inf(-1), Q15Min},    // ...
-		{math.NaN(), 0},           // NaN quantizes to zero
-		{1e300, Q15Max},           // huge values saturate, no overflow
-		{-1e300, Q15Min},          // ...
-		{20.25, 20.25 * Q15One},   // engineering units are exact on the grid
-		{-9.81, -321454},          // round(-9.81 * 32768)
+		{0.4999 / Q15One, 0},    // below half a step rounds to zero
+		{0.5 / Q15One, 1},       // half a step rounds away from zero
+		{-0.5 / Q15One, -1},     // ... in both directions
+		{65535.99999, Q15Max},   // at the positive rail
+		{-65536.00001, Q15Min},  // past the negative rail
+		{math.Inf(1), Q15Max},   // infinities saturate
+		{math.Inf(-1), Q15Min},  // ...
+		{math.NaN(), 0},         // NaN quantizes to zero
+		{1e300, Q15Max},         // huge values saturate, no overflow
+		{-1e300, Q15Min},        // ...
+		{20.25, 20.25 * Q15One}, // engineering units are exact on the grid
+		{-9.81, -321454},        // round(-9.81 * 32768)
 	}
 	for _, c := range cases {
 		if got := ToQ15(c.in); got != c.want {

@@ -3,8 +3,8 @@ package eval
 import (
 	"fmt"
 
-	"sidewinder/internal/apps"
 	"sidewinder/internal/adapt"
+	"sidewinder/internal/apps"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/sim"
 )

@@ -95,7 +95,7 @@ func CrashResilience(w *Workload) (*CrashResilienceResult, error) {
 			rc.Crash = resilience.CrashProfile{
 				Seed:          0xC5A5 + int64(i),
 				MTBFTicks:     c.mtbfSec * rate,
-				MeanDownTicks: 5 * rate,  // 5 s mean outage
+				MeanDownTicks: 5 * rate,       // 5 s mean outage
 				MaxDownTicks:  int(20 * rate), // 20 s cap
 			}
 		}

@@ -252,8 +252,8 @@ type devSession struct {
 	// connection: the server kept no record of the refusal (a shed seq is
 	// a hole in its watermark), and a retry it accepts would double-count
 	// the event on top of the fallback billing.
-	resolvedShed []bool
-	nResolved    int
+	resolvedShed   []bool
+	nResolved      int
 	maxResolved    uint32 // highest seq resolved (resume handshake's LastAcked)
 	wakes          uint64
 	heartbeats     uint64

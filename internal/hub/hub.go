@@ -86,10 +86,22 @@ func Devices() []Device {
 	return []Device{MSP430(), LM4F120()}
 }
 
-// CyclesPerSecond returns the cycle demand the plan places on the device.
-func (d Device) CyclesPerSecond(plan *core.Plan) float64 {
-	floatOps, intOps := plan.TotalOpsPerSecond()
+// Cycles converts an operation demand into device cycles: float work at
+// CyclesPerFloatOp, integer work at CyclesPerIntOp. Every cycle figure in
+// the system — admission, feasibility, load-proportional power, per-stage
+// ledger attribution — goes through this one cost model.
+func (d Device) Cycles(floatOps, intOps float64) float64 {
 	return floatOps*d.CyclesPerFloatOp + intOps*d.CyclesPerIntOp
+}
+
+// CycleBudget returns the cycles per second left for wake-up conditions
+// after the MaxUtilization reservation for sampling and link handling.
+func (d Device) CycleBudget() float64 { return d.ClockHz * d.MaxUtilization }
+
+// Fits reports whether a per-second operation demand and instance memory
+// fit the device: the allocation-free form of CheckDemand == nil.
+func (d Device) Fits(floatOpsPerSec, intOpsPerSec float64, memoryBytes int) bool {
+	return d.Cycles(floatOpsPerSec, intOpsPerSec) <= d.CycleBudget() && memoryBytes <= d.RAMBytes
 }
 
 // Utilization returns the plan's cycle demand as a fraction of the
@@ -98,7 +110,7 @@ func (d Device) Utilization(plan *core.Plan) float64 {
 	if d.ClockHz == 0 {
 		return 0
 	}
-	return d.CyclesPerSecond(plan) / d.ClockHz
+	return d.Cycles(plan.TotalOpsPerSecond()) / d.ClockHz
 }
 
 // IdleFraction is the share of a device's active draw that does not scale
@@ -113,11 +125,11 @@ const IdleFraction = 0.30
 // over the device's usable cycle budget, clamped to 1). At full budget it
 // equals ActivePowerMW, so static billing is the upper bound.
 func (d Device) LoadPowerMW(floatOpsPerSec, intOpsPerSec float64) float64 {
-	budget := d.ClockHz * d.MaxUtilization
+	budget := d.CycleBudget()
 	if budget <= 0 {
 		return d.ActivePowerMW
 	}
-	duty := (floatOpsPerSec*d.CyclesPerFloatOp + intOpsPerSec*d.CyclesPerIntOp) / budget
+	duty := d.Cycles(floatOpsPerSec, intOpsPerSec) / budget
 	if duty > 1 {
 		duty = 1
 	}
@@ -127,52 +139,37 @@ func (d Device) LoadPowerMW(floatOpsPerSec, intOpsPerSec float64) float64 {
 // CheckFeasible verifies the plan fits the device's real-time budget and
 // RAM. The returned error wraps ErrNotRealTime or ErrOutOfMemory.
 func (d Device) CheckFeasible(plan *core.Plan) error {
-	demand := d.CyclesPerSecond(plan)
-	budget := d.ClockHz * d.MaxUtilization
-	if demand > budget {
-		return fmt.Errorf("%w: %q needs %.2f Mcycles/s, %s provides %.2f Mcycles/s",
-			ErrNotRealTime, plan.Name, demand/1e6, d.Name, budget/1e6)
-	}
-	if mem := plan.TotalMemory(); mem > d.RAMBytes {
-		return fmt.Errorf("%w: %q needs %d B, %s has %d B",
-			ErrOutOfMemory, plan.Name, mem, d.Name, d.RAMBytes)
-	}
-	return nil
+	f, i := plan.TotalOpsPerSecond()
+	return d.CheckDemand(f, i, plan.TotalMemory())
 }
 
 // SelectDevice returns the lowest-power device from candidates that can
-// run every given plan concurrently. This reproduces the prototype's
-// device choice: accelerometer conditions land on the MSP430, while the
-// siren detector's FFT chain forces the LM4F120 (paper §4.3, Table 2).
+// run every given plan concurrently, each billed standalone (no sharing
+// across plans). This reproduces the prototype's device choice:
+// accelerometer conditions land on the MSP430, while the siren detector's
+// FFT chain forces the LM4F120 (paper §4.3, Table 2).
 func SelectDevice(candidates []Device, plans ...*core.Plan) (Device, error) {
 	if len(plans) == 0 {
 		return Device{}, errors.New("hub: no plans to place")
 	}
-	var firstErr error
-	for _, d := range candidates {
-		err := d.checkAll(plans)
-		if err == nil {
-			return d, nil
-		}
-		if firstErr == nil {
-			firstErr = err
-		}
+	var f, i float64
+	var mem int
+	for _, p := range plans {
+		pf, pi := p.TotalOpsPerSecond()
+		f, i, mem = f+pf, i+pi, mem+p.TotalMemory()
 	}
-	if firstErr == nil {
-		firstErr = errors.New("hub: no candidate devices")
-	}
-	return Device{}, fmt.Errorf("hub: no device can run the condition set: %w", firstErr)
+	return SelectDeviceForDemand(candidates, f, i, mem)
 }
 
 // CheckDemand verifies a raw resource demand (operations per second and
 // instance memory) against the device. It lets callers that deduplicate
 // work across conditions — shared plans compiled by package ir —
-// place sets more tightly than per-plan sums allow.
+// place sets more tightly than per-plan sums allow. The returned error
+// wraps ErrNotRealTime or ErrOutOfMemory.
 func (d Device) CheckDemand(floatOpsPerSec, intOpsPerSec float64, memoryBytes int) error {
-	cycles := floatOpsPerSec*d.CyclesPerFloatOp + intOpsPerSec*d.CyclesPerIntOp
-	if cycles > d.ClockHz*d.MaxUtilization {
+	if cycles := d.Cycles(floatOpsPerSec, intOpsPerSec); cycles > d.CycleBudget() {
 		return fmt.Errorf("%w: demand %.2f Mcycles/s exceeds %s budget %.2f Mcycles/s",
-			ErrNotRealTime, cycles/1e6, d.Name, d.ClockHz*d.MaxUtilization/1e6)
+			ErrNotRealTime, cycles/1e6, d.Name, d.CycleBudget()/1e6)
 	}
 	if memoryBytes > d.RAMBytes {
 		return fmt.Errorf("%w: state %d B exceeds %s RAM %d B",
@@ -198,23 +195,4 @@ func SelectDeviceForDemand(candidates []Device, floatOpsPerSec, intOpsPerSec flo
 		firstErr = errors.New("hub: no candidate devices")
 	}
 	return Device{}, fmt.Errorf("hub: no device can satisfy the demand: %w", firstErr)
-}
-
-// checkAll verifies the combined demand of several plans.
-func (d Device) checkAll(plans []*core.Plan) error {
-	var cycles float64
-	var mem int
-	for _, p := range plans {
-		cycles += d.CyclesPerSecond(p)
-		mem += p.TotalMemory()
-	}
-	if cycles > d.ClockHz*d.MaxUtilization {
-		return fmt.Errorf("%w: combined demand %.2f Mcycles/s exceeds %s budget %.2f Mcycles/s",
-			ErrNotRealTime, cycles/1e6, d.Name, d.ClockHz*d.MaxUtilization/1e6)
-	}
-	if mem > d.RAMBytes {
-		return fmt.Errorf("%w: combined state %d B exceeds %s RAM %d B",
-			ErrOutOfMemory, mem, d.Name, d.RAMBytes)
-	}
-	return nil
 }

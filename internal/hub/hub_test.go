@@ -2,6 +2,7 @@ package hub
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"sidewinder/internal/core"
@@ -165,5 +166,69 @@ func TestUtilizationZeroClock(t *testing.T) {
 	d := Device{}
 	if d.Utilization(accelPlan(t)) != 0 {
 		t.Error("zero-clock device should report zero utilization")
+	}
+}
+
+func TestBudgetFromDeviceConstants(t *testing.T) {
+	for _, d := range Devices() {
+		if got, want := d.CycleBudget(), d.ClockHz*d.MaxUtilization; got != want {
+			t.Errorf("%s cycle budget = %g, want %g", d.Name, got, want)
+		}
+		// The budget is inclusive: a demand of exactly the budget cycles
+		// and exactly the RAM fits; one cycle or one byte more does not.
+		atBudget := d.CycleBudget() / d.CyclesPerIntOp
+		if !d.Fits(0, atBudget, d.RAMBytes) {
+			t.Errorf("%s: demand at the budget does not fit", d.Name)
+		}
+		if d.Fits(0, atBudget+1, d.RAMBytes) || d.Fits(0, atBudget, d.RAMBytes+1) {
+			t.Errorf("%s: demand over the budget fits", d.Name)
+		}
+		if got := d.Cycles(2, 3); got != 2*d.CyclesPerFloatOp+3*d.CyclesPerIntOp {
+			t.Errorf("%s: Cycles(2, 3) = %g", d.Name, got)
+		}
+	}
+}
+
+func TestFitsBudget(t *testing.T) {
+	pl := accelPlan(t)
+	f, i := pl.TotalOpsPerSecond()
+	if !MSP430().Fits(f, i, pl.TotalMemory()) {
+		t.Fatal("accel condition does not fit the MSP430")
+	}
+	tiny := MSP430()
+	tiny.ClockHz, tiny.RAMBytes = 2, 1 // one cycle per second, one byte
+	if tiny.Fits(f, i, pl.TotalMemory()) {
+		t.Fatal("plan fits a 1-cycle budget")
+	}
+}
+
+// TestFitsAgreesWithCheckDemand: over random demands straddling each
+// device's budget, the allocation-free Fits is exactly CheckDemand == nil,
+// and a refusal wraps the error for the resource that ran out.
+func TestFitsAgreesWithCheckDemand(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, d := range Devices() {
+		for k := 0; k < 2000; k++ {
+			f := rng.Float64() * 2 * d.CycleBudget() / d.CyclesPerFloatOp
+			i := rng.Float64() * 2 * d.CycleBudget() / d.CyclesPerIntOp
+			if k%2 == 0 {
+				f = 0 // int-only demands reach the cycle edge from one column
+			}
+			mem := rng.Intn(2 * d.RAMBytes)
+			err := d.CheckDemand(f, i, mem)
+			if fits := d.Fits(f, i, mem); fits != (err == nil) {
+				t.Fatalf("%s: Fits(%g, %g, %d) = %v, CheckDemand = %v", d.Name, f, i, mem, fits, err)
+			}
+			switch {
+			case d.Cycles(f, i) > d.CycleBudget():
+				if !errors.Is(err, ErrNotRealTime) {
+					t.Fatalf("%s: cycle overrun not ErrNotRealTime: %v", d.Name, err)
+				}
+			case mem > d.RAMBytes:
+				if !errors.Is(err, ErrOutOfMemory) {
+					t.Fatalf("%s: RAM overrun not ErrOutOfMemory: %v", d.Name, err)
+				}
+			}
+		}
 	}
 }

@@ -82,7 +82,7 @@ func demandNodes(d *DAG, outs []*DAGNode) []NodeDemand {
 
 // DemandAccumulator prices plans incrementally against a committed set:
 // Marginal returns what a plan would add (nodes whose keys the committed
-// set already contains cost zero), Commit adds it. The totals always
+// set already contains cost zero, unless CSE is off), Commit adds it. The totals always
 // equal Demand over the committed plans to within float associativity.
 type DemandAccumulator struct {
 	opts           CompileOptions
@@ -119,7 +119,7 @@ func (a *DemandAccumulator) analyze(plan *core.Plan) []NodeDemand {
 // committed set, without committing it.
 func (a *DemandAccumulator) Marginal(plan *core.Plan) (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
 	for _, nd := range a.analyze(plan) {
-		if a.seen[nd.Key] {
+		if a.shared(nd.Key) {
 			continue
 		}
 		floatOpsPerSec += nd.FloatOpsPerSec
@@ -133,7 +133,7 @@ func (a *DemandAccumulator) Marginal(plan *core.Plan) (floatOpsPerSec, intOpsPer
 // totals.
 func (a *DemandAccumulator) Commit(plan *core.Plan) (floatOpsPerSec, intOpsPerSec float64, memoryBytes int) {
 	for _, nd := range a.analyze(plan) {
-		if a.seen[nd.Key] {
+		if a.shared(nd.Key) {
 			continue
 		}
 		a.seen[nd.Key] = true
@@ -142,6 +142,13 @@ func (a *DemandAccumulator) Commit(plan *core.Plan) (floatOpsPerSec, intOpsPerSe
 		a.memoryBytes += nd.MemoryBytes
 	}
 	return a.floatOpsPerSec, a.intOpsPerSec, a.memoryBytes
+}
+
+// shared reports whether a node with this key is already billed. Without
+// CSE nothing is shared: every committed node bills again, and keys
+// (which then number nodes per plan) would collide across plans.
+func (a *DemandAccumulator) shared(key string) bool {
+	return !a.opts.NoCSE && a.seen[key]
 }
 
 // Total returns the committed set's demand.

@@ -162,3 +162,37 @@ func TestDemandByKindSumsToDemand(t *testing.T) {
 		t.Fatal("no nodes in breakdown")
 	}
 }
+
+// TestNoOptAccumulatorBillsEveryCommit: without CSE nothing is shared, so
+// committing the same plan twice bills twice its Demand, and a second
+// plan is billed in full even though its node keys (numbered per plan)
+// repeat the first plan's.
+func TestNoOptAccumulatorBillsEveryCommit(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < 30; i++ {
+		plans := randomPlans(t, rng, 2)
+		acc := NewDemandAccumulator(NoOpt())
+		wf, wi, wm := Demand(NoOpt(), plans[0])
+		if mf, mi, mm := acc.Marginal(plans[0]); mf != wf || mi != wi || mm != wm {
+			t.Fatalf("set %d: first marginal %g/%g/%d, want Demand %g/%g/%d", i, mf, mi, mm, wf, wi, wm)
+		}
+		acc.Commit(plans[0])
+		if mf, mi, mm := acc.Marginal(plans[0]); mf != wf || mi != wi || mm != wm {
+			t.Fatalf("set %d: committed plan's marginal %g/%g/%d, want its full Demand %g/%g/%d",
+				i, mf, mi, mm, wf, wi, wm)
+		}
+		if gf, gi, gm := acc.Commit(plans[0]); math.Abs(gf-2*wf) > demandEps ||
+			math.Abs(gi-2*wi) > demandEps || gm != 2*wm {
+			t.Fatalf("set %d: plan committed twice bills %g/%g/%d, want %g/%g/%d",
+				i, gf, gi, gm, 2*wf, 2*wi, 2*wm)
+		}
+		acc = NewDemandAccumulator(NoOpt())
+		acc.Commit(plans[0])
+		gf, gi, gm := acc.Commit(plans[1])
+		df, di, dm := Demand(NoOpt(), plans...)
+		if math.Abs(gf-df) > demandEps || math.Abs(gi-di) > demandEps || gm != dm {
+			t.Fatalf("set %d: two plans accumulate %g/%g/%d, Demand says %g/%g/%d",
+				i, gf, gi, gm, df, di, dm)
+		}
+	}
+}

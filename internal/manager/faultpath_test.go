@@ -71,10 +71,10 @@ func TestManagerSkipsMalformedPayloads(t *testing.T) {
 	m, _, _, hubEnd := rawPair(t)
 
 	hubEnd.Send(link.Frame{Type: link.MsgConfigAck, Payload: []byte{0x01}}) // too short
-	hubEnd.Send(link.Frame{Type: link.MsgConfigError, Payload: []byte{}})  // empty
-	hubEnd.Send(link.Frame{Type: link.MsgWake, Payload: []byte{1, 2, 3}})  // not 18 bytes
-	hubEnd.Send(link.Frame{Type: link.MsgData, Payload: []byte{0, 1, 9}})  // truncated header
-	hubEnd.Send(link.Frame{Type: 0x6F})                                    // unknown type
+	hubEnd.Send(link.Frame{Type: link.MsgConfigError, Payload: []byte{}})   // empty
+	hubEnd.Send(link.Frame{Type: link.MsgWake, Payload: []byte{1, 2, 3}})   // not 18 bytes
+	hubEnd.Send(link.Frame{Type: link.MsgData, Payload: []byte{0, 1, 9}})   // truncated header
+	hubEnd.Send(link.Frame{Type: 0x6F})                                     // unknown type
 
 	if err := m.Service(); err != nil {
 		t.Fatalf("manager service died on malformed input: %v", err)

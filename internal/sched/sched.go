@@ -1,15 +1,15 @@
-// Package sched implements the multi-tenant hub capacity model: a cycle
-// and RAM budget derived from the device's power-model constants, and an
-// admission controller that decides which wake-up conditions run on the
-// hub and which degrade to phone-side duty-cycled fallback sensing.
+// Package sched implements the multi-tenant hub capacity model: an
+// admission controller that decides, against the device's cycle and RAM
+// budget (hub.Device.Fits), which wake-up conditions run on the hub and
+// which degrade to phone-side duty-cycled fallback sensing.
 //
 // The paper's prototype pushes conditions until the hub rejects one; this
 // package gives the sensor manager the missing multi-tenant story. Each
 // condition is costed through the DAG compile pass's static demand
-// (package ir, via package interp), so structurally identical subgraphs
-// across applications — shared prefixes, shared interior stages, whole
-// duplicate pipelines — are billed exactly once — two applications
-// windowing the microphone the same way together cost one windower. On overload the controller does not
+// (package ir), so structurally identical subgraphs across applications —
+// shared prefixes, shared interior stages, whole duplicate pipelines — are
+// billed exactly once: two applications windowing the microphone the same
+// way together cost one windower. On overload the controller does not
 // reject: it demotes the lowest-priority conditions to fallback, where the
 // phone's duty-cycling schedule covers them at higher energy (billed to
 // the ledger's phone.fallback component by package sim).
@@ -35,36 +35,6 @@ import (
 // FallbackDeviceName is the placement Status/reports show for a condition
 // degraded to phone-side sensing.
 const FallbackDeviceName = "phone-fallback"
-
-// Budget is a device's schedulable capacity: the cycles per second left
-// after the MaxUtilization reservation for sampling and link handling,
-// and the RAM available for algorithm instance state.
-type Budget struct {
-	Device       hub.Device
-	CyclesPerSec float64
-	RAMBytes     int
-}
-
-// BudgetFor derives the budget from a device model's constants.
-func BudgetFor(d hub.Device) Budget {
-	return Budget{
-		Device:       d,
-		CyclesPerSec: d.ClockHz * d.MaxUtilization,
-		RAMBytes:     d.RAMBytes,
-	}
-}
-
-// Cycles converts a merged float/int demand into cycles per second on the
-// budget's device.
-func (b Budget) Cycles(floatOpsPerSec, intOpsPerSec float64) float64 {
-	return floatOpsPerSec*b.Device.CyclesPerFloatOp + intOpsPerSec*b.Device.CyclesPerIntOp
-}
-
-// Fits reports whether a merged demand fits the budget.
-func (b Budget) Fits(floatOpsPerSec, intOpsPerSec float64, memoryBytes int) bool {
-	return b.Cycles(floatOpsPerSec, intOpsPerSec) <= b.CyclesPerSec &&
-		memoryBytes <= b.RAMBytes
-}
 
 // Placement says where a condition currently runs.
 type Placement int
@@ -109,41 +79,32 @@ type Delta struct {
 	Demoted []uint16
 }
 
-// Options tune the admission controller's costing.
-type Options struct {
-	// DisableSharing bills every condition its standalone demand: no
-	// cross-app deduplication, no DAG folds — the sum of per-plan totals.
-	// This is the CSE-off ablation the fleet sweep compares against; the
-	// default (false) bills the shared execution graph the hub actually
-	// runs.
-	DisableSharing bool
-}
-
 // Scheduler is the admission controller for one hub device.
 type Scheduler struct {
-	budget  Budget
-	opts    Options
+	dev     hub.Device
+	opts    ir.CompileOptions
 	conds   map[uint16]*condition
 	placed  map[uint16]Placement
 	nextSeq int
 }
 
-// New builds a scheduler over a device's derived budget with default
-// (sharing-aware) costing.
-func New(d hub.Device) *Scheduler { return NewWithOptions(d, Options{}) }
+// New builds a scheduler over a device's cycle and RAM budget with
+// default (sharing-aware) costing.
+func New(d hub.Device) *Scheduler { return NewWithOptions(d, ir.CompileOptions{}) }
 
-// NewWithOptions builds a scheduler with explicit costing options.
-func NewWithOptions(d hub.Device, opts Options) *Scheduler {
+// NewWithOptions builds a scheduler that bills conditions under the given
+// DAG compile options. ir.NoOpt() bills every condition standalone — the
+// sum of per-plan totals, the CSE-off ablation the fleet sweep compares
+// against; the zero value bills the shared execution graph the hub
+// actually runs.
+func NewWithOptions(d hub.Device, opts ir.CompileOptions) *Scheduler {
 	return &Scheduler{
-		budget: BudgetFor(d),
+		dev:    d,
 		opts:   opts,
 		conds:  make(map[uint16]*condition),
 		placed: make(map[uint16]Placement),
 	}
 }
-
-// Budget returns the device budget the scheduler admits against.
-func (s *Scheduler) Budget() Budget { return s.budget }
 
 // Add registers a condition and recomputes placements. Higher priority
 // wins the hub under contention; equal priorities favor earlier arrivals.
@@ -233,39 +194,20 @@ func (s *Scheduler) Utilization() (cycleFrac, ramFrac float64, sharedNodes int) 
 	if len(plans) == 0 {
 		return 0, 0, 0
 	}
-	var f, i float64
-	var mem int
-	if s.opts.DisableSharing {
-		for _, p := range plans {
-			pf, pi := p.TotalOpsPerSecond()
-			f += pf
-			i += pi
-			mem += p.TotalMemory()
-		}
-	} else {
-		f, i, mem = ir.Demand(ir.CompileOptions{}, plans...)
-		for _, p := range plans {
-			sharedNodes += len(p.Nodes)
-		}
-		sharedNodes -= distinctNodes(plans)
+	f, i, mem := ir.Demand(s.opts, plans...)
+	for _, p := range plans {
+		sharedNodes += len(p.Nodes)
 	}
-	if s.budget.CyclesPerSec > 0 {
-		cycleFrac = s.budget.Cycles(f, i) / s.budget.CyclesPerSec
+	for _, kd := range ir.DemandByKind(s.opts, plans...) {
+		sharedNodes -= kd.Nodes
 	}
-	if s.budget.RAMBytes > 0 {
-		ramFrac = float64(mem) / float64(s.budget.RAMBytes)
+	if budget := s.dev.CycleBudget(); budget > 0 {
+		cycleFrac = s.dev.Cycles(f, i) / budget
+	}
+	if s.dev.RAMBytes > 0 {
+		ramFrac = float64(mem) / float64(s.dev.RAMBytes)
 	}
 	return cycleFrac, ramFrac, sharedNodes
-}
-
-// distinctNodes counts merged instances across the plans (shared prefixes
-// once), via the per-stage demand breakdown.
-func distinctNodes(plans []*core.Plan) int {
-	n := 0
-	for _, sd := range ir.DemandByKind(ir.CompileOptions{}, plans...) {
-		n += sd.Nodes
-	}
-	return n
 }
 
 // recompute rebuilds the placement map greedily and diffs it against the
@@ -285,31 +227,15 @@ func (s *Scheduler) recompute(changed uint16) Delta {
 	})
 
 	next := make(map[uint16]Placement, len(order))
-	if s.opts.DisableSharing {
-		// CSE-off ablation: every condition is billed standalone.
-		var f, i float64
-		var mem int
-		for _, c := range order {
-			mf, mi := c.plan.TotalOpsPerSecond()
-			mmem := c.plan.TotalMemory()
-			if s.budget.Fits(f+mf, i+mi, mem+mmem) {
-				f, i, mem = f+mf, i+mi, mem+mmem
-				next[c.id] = PlacedHub
-			} else {
-				next[c.id] = PlacedFallback
-			}
-		}
-	} else {
-		acc := ir.NewDemandAccumulator(ir.CompileOptions{})
-		for _, c := range order {
-			mf, mi, mmem := acc.Marginal(c.plan)
-			f, i, mem := acc.Total()
-			if s.budget.Fits(f+mf, i+mi, mem+mmem) {
-				acc.Commit(c.plan)
-				next[c.id] = PlacedHub
-			} else {
-				next[c.id] = PlacedFallback
-			}
+	acc := ir.NewDemandAccumulator(s.opts)
+	for _, c := range order {
+		mf, mi, mmem := acc.Marginal(c.plan)
+		f, i, mem := acc.Total()
+		if s.dev.Fits(f+mf, i+mi, mem+mmem) {
+			acc.Commit(c.plan)
+			next[c.id] = PlacedHub
+		} else {
+			next[c.id] = PlacedFallback
 		}
 	}
 

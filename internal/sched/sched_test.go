@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"sidewinder/internal/core"
@@ -43,18 +44,6 @@ func sirenPlan(t *testing.T, cutoff float64) *core.Plan {
 		t.Fatal(err)
 	}
 	return plan
-}
-
-func TestBudgetFromDeviceConstants(t *testing.T) {
-	for _, d := range hub.Devices() {
-		b := BudgetFor(d)
-		if b.CyclesPerSec != d.ClockHz*d.MaxUtilization {
-			t.Errorf("%s cycle budget = %g, want %g", d.Name, b.CyclesPerSec, d.ClockHz*d.MaxUtilization)
-		}
-		if b.RAMBytes != d.RAMBytes {
-			t.Errorf("%s RAM budget = %d, want %d", d.Name, b.RAMBytes, d.RAMBytes)
-		}
-	}
 }
 
 func TestAdmitWithinBudget(t *testing.T) {
@@ -202,7 +191,6 @@ func TestPropertyAdmittedSetNeverExceedsBudget(t *testing.T) {
 	for _, dev := range hub.Devices() {
 		rng := rand.New(rand.NewSource(7))
 		s := New(dev)
-		b := s.Budget()
 		live := make(map[uint16]int) // id -> priority
 		nextID := uint16(1)
 		for op := 0; op < 300; op++ {
@@ -231,9 +219,9 @@ func TestPropertyAdmittedSetNeverExceedsBudget(t *testing.T) {
 					op, dev.Name, len(hubIDs)+len(fbIDs), len(live))
 			}
 			f, i, mem := ir.Demand(ir.CompileOptions{}, s.HubPlans()...)
-			if len(hubIDs) > 0 && !b.Fits(f, i, mem) {
+			if len(hubIDs) > 0 && !dev.Fits(f, i, mem) {
 				t.Fatalf("op %d on %s: admitted set exceeds budget: %.2f Mcycles/s of %.2f, %d B of %d",
-					op, dev.Name, b.Cycles(f, i)/1e6, b.CyclesPerSec/1e6, mem, b.RAMBytes)
+					op, dev.Name, dev.Cycles(f, i)/1e6, dev.CycleBudget()/1e6, mem, dev.RAMBytes)
 			}
 		}
 	}
@@ -288,12 +276,12 @@ func TestPlacementString(t *testing.T) {
 
 // TestDisableSharingBillsNaively pins the CSE-off ablation: identical
 // siren conditions share everything under default costing (all admitted
-// on the LM4F120), but bill their full standalone demand with sharing
-// disabled, so the same set overflows and degrades.
+// on the LM4F120), but bill their full standalone demand under
+// ir.NoOpt(), so the same set overflows and degrades.
 func TestDisableSharingBillsNaively(t *testing.T) {
 	const n = 6
 	shared := New(hub.LM4F120())
-	naive := NewWithOptions(hub.LM4F120(), Options{DisableSharing: true})
+	naive := NewWithOptions(hub.LM4F120(), ir.NoOpt())
 	for id := uint16(1); id <= n; id++ {
 		plan := sirenPlan(t, 750)
 		if _, err := shared.Add(id, plan, 0); err != nil {
@@ -360,8 +348,7 @@ func TestPropertyNaiveBillingNeverCheaper(t *testing.T) {
 			t.Fatalf("trial %d: merged demand %g/%g/%d exceeds naive %g/%g/%d",
 				trial, mf, mi, mm, nf, ni, nm)
 		}
-		b := s.Budget()
-		if !b.Fits(mf, mi, mm) {
+		if !hub.LM4F120().Fits(mf, mi, mm) {
 			t.Fatalf("trial %d: admitted set does not fit its own budget", trial)
 		}
 	}
@@ -418,5 +405,62 @@ func TestUpdateErrors(t *testing.T) {
 	}
 	if _, err := s.Update(1, nil); err == nil {
 		t.Fatal("nil plan accepted")
+	}
+}
+
+// naivePlacement is the reference for CSE-off admission: the greedy
+// priority order with every condition billed its standalone per-plan
+// totals, summed across the admitted set (the scheduler's former
+// sharing-disabled loop).
+func naivePlacement(dev hub.Device, plans []*core.Plan, prios []int) map[uint16]Placement {
+	order := make([]int, len(plans))
+	for k := range order {
+		order[k] = k
+	}
+	sort.SliceStable(order, func(a, b int) bool { return prios[order[a]] > prios[order[b]] })
+	out := make(map[uint16]Placement, len(plans))
+	var f, i float64
+	var mem int
+	for _, k := range order {
+		mf, mi := plans[k].TotalOpsPerSecond()
+		mmem := plans[k].TotalMemory()
+		if dev.Fits(f+mf, i+mi, mem+mmem) {
+			f, i, mem = f+mf, i+mi, mem+mmem
+			out[uint16(k+1)] = PlacedHub
+		} else {
+			out[uint16(k+1)] = PlacedFallback
+		}
+	}
+	return out
+}
+
+// TestNoOptPlacesLikeNaiveGreedy: over random plan sets and priorities, a
+// scheduler billing under ir.NoOpt() places every condition exactly where
+// the naive per-plan-sum greedy reference does, on both devices.
+func TestNoOptPlacesLikeNaiveGreedy(t *testing.T) {
+	pool := []*core.Plan{
+		motionPlan(t, 15), motionPlan(t, 15), motionPlan(t, 25),
+		sirenPlan(t, 750), sirenPlan(t, 750), sirenPlan(t, 800),
+	}
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 60; trial++ {
+		for _, dev := range hub.Devices() {
+			n := 1 + rng.Intn(10)
+			plans := make([]*core.Plan, n)
+			prios := make([]int, n)
+			s := NewWithOptions(dev, ir.NoOpt())
+			for k := range plans {
+				plans[k], prios[k] = pool[rng.Intn(len(pool))], rng.Intn(3)
+				if _, err := s.Add(uint16(k+1), plans[k], prios[k]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for id, want := range naivePlacement(dev, plans, prios) {
+				if got, _ := s.Placement(id); got != want {
+					t.Fatalf("trial %d on %s: condition %d placed %v, naive reference says %v",
+						trial, dev.Name, id, got, want)
+				}
+			}
+		}
 	}
 }

@@ -9,8 +9,6 @@ import (
 	"sidewinder/internal/hub"
 	"sidewinder/internal/interp"
 	"sidewinder/internal/ir"
-	"sidewinder/internal/power"
-	"sidewinder/internal/sched"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/telemetry"
 )
@@ -143,33 +141,20 @@ type adaptiveProgram struct {
 
 // Run implements Strategy.
 func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
-	cat := s.Catalog
-	if cat == nil {
-		cat = core.DefaultCatalog()
-	}
-	devices := s.Devices
-	if devices == nil {
-		devices = hub.Devices()
-	}
 	cfg := s.Config
 	if cfg == (adapt.Config{}) {
 		cfg = adapt.DefaultConfig()
 	}
-	base, err := app.Wake.Validate(cat)
+	cat, base, dev, err := placeWake(s.Catalog, s.Devices, app)
 	if err != nil {
-		return nil, fmt.Errorf("sim: validating %s wake condition: %w", app.Name, err)
+		return nil, err
 	}
-	dev, err := hub.SelectDevice(devices, base)
-	if err != nil {
-		return nil, fmt.Errorf("sim: placing %s wake condition: %w", app.Name, err)
-	}
-	budget := sched.BudgetFor(dev)
 	// The static counterfactual: the pushed program at the developer's
 	// precision, billed load-proportionally. Adaptation is only allowed
 	// to move demand DOWN from here, so savings are non-negative and
 	// AdaptedMJ + SavingsMJ == StaticMJ is exact.
 	baseF, baseI, _ := adapt.Demand(base, interp.Float64)
-	baseCycles := budget.Cycles(baseF, baseI)
+	baseCycles := dev.Cycles(baseF, baseI)
 	staticMW := dev.LoadPowerMW(baseF, baseI)
 
 	engine := adapt.NewEngine(cfg)
@@ -185,7 +170,7 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 			return nil, err
 		}
 		f, i, mem := adapt.Demand(plan, k.Precision)
-		if !budget.Fits(f, i, mem) || budget.Cycles(f, i) > baseCycles {
+		if !dev.Fits(f, i, mem) || dev.Cycles(f, i) > baseCycles {
 			return nil, fmt.Errorf("sim: knobs %+v exceed the admitted demand", k)
 		}
 		exec, _, err := ir.CompilePlan(cat, ir.CompileOptions{}, plan)
@@ -212,21 +197,12 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	}
 	engine.TakeDirty() // the pushed configuration is not an adaptation
 
-	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
-	dt := 1 / tr.RateHz
-	preBuffer := int(app.PreBufferSec * tr.RateHz)
-	hold := int(swIdleHoldSec * tr.RateHz)
+	tl := newWakeTimeline(tr, swIdleHoldSec, app.PreBufferSec)
+	ph := &tl.ph
+	dt, hold := tl.dt, tl.hold
 	tol := int(app.MatchTolSec * tr.RateHz)
 	tracker := newTruthTracker(tr.EventsLabeled(app.Label), tol)
-
-	var phoneStream, hubStream *telemetry.Stream
-	if s.Telemetry.Enabled() {
-		c.tclk = &telemetry.Clock{}
-		phoneStream = s.Telemetry.Tracer.Stream(s.TraceLabel+"phone", c.tclk)
-		hubStream = s.Telemetry.Tracer.Stream(s.TraceLabel+"hub", c.tclk)
-		tracePhoneTransitions(ph, phoneStream)
-	}
+	hubStream := tl.trace(s.Telemetry, s.TraceLabel)
 
 	// pending holds a re-admitted program awaiting the next block boundary;
 	// swapping only there keeps each block's wake offsets internally
@@ -257,9 +233,6 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 		pending = nil // proposal settled back to the resident program
 	}
 
-	var intervals []Interval
-	openStart := -1
-	lastFire := -1
 	hubMJ, staticMJ := 0.0, 0.0
 	frozenTally := adapt.Stats{}
 	// lastVerdict rate-limits awake-phase re-confirmations: a wake-up
@@ -269,33 +242,22 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	// would produce one verdict per run and starve the policy.
 	lastVerdict := -(hold + 1)
 
+	n := tr.Len()
 	fired := make([]bool, simBlock)
-	for blockStart := 0; blockStart < tr.Len(); blockStart += simBlock {
+	for blockStart := 0; blockStart < n; blockStart += simBlock {
 		if pending != nil {
 			cur, pending = pending, nil
 		}
-		end := min(blockStart+simBlock, tr.Len())
+		end := min(blockStart+simBlock, n)
 		f := cur.feed.fire(blockStart, end, fired)
 		hubMJ += cur.powerMW * float64(end-blockStart) * dt
 		staticMJ += staticMW * float64(end-blockStart) * dt
 		for k := range f {
 			i := blockStart + k
 			if f[k] {
-				lastFire = i
 				hit := tracker.markFired(i)
 				hubStream.Instant1("wake.sent", "hub", "sample", float64(i))
-				verdict := false
-				if ph.State() == power.Asleep || ph.State() == power.FallingAsleep {
-					ph.RequestWake()
-					openStart = i - preBuffer
-					if openStart < 0 {
-						openStart = 0
-					}
-					verdict = true
-				} else if i-lastVerdict > hold {
-					verdict = true
-				}
-				if verdict {
+				if tl.wake(i) || i-lastVerdict > hold {
 					lastVerdict = i
 					if hit {
 						frozenTally.TrueWakes++
@@ -306,23 +268,16 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 					}
 				}
 			}
-			for n := tracker.expire(i, openStart >= 0); n > 0; n-- {
+			for missed := tracker.expire(i, tl.open >= 0); missed > 0; missed-- {
 				frozenTally.MissedWakes++
 				observe(adapt.MissedWake)
 			}
-			if ph.State() == power.Awake && lastFire >= 0 && i-lastFire > hold {
-				ph.RequestSleep()
-				intervals = append(intervals, Interval{openStart, i})
-				openStart = -1
-			}
-			c.advance(dt)
+			tl.idle(i)
 		}
 	}
-	if openStart >= 0 {
-		intervals = append(intervals, Interval{openStart, tr.Len()})
-	}
 	// Score (but no longer act on) events whose window ran off the trace.
-	frozenTally.MissedWakes += tracker.expire(tr.Len()+tol+1, openStart >= 0)
+	frozenTally.MissedWakes += tracker.expire(n+tol+1, tl.open >= 0)
+	intervals := tl.done(n)
 
 	totalSec := ph.TotalSeconds()
 	stats := engine.Stats()
@@ -347,10 +302,8 @@ func (s AdaptiveSidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	if s.Telemetry.Enabled() {
 		led := s.Telemetry.LedgerSink()
 		depositPhoneEnergy(led, ph)
-		led.AddEnergyMJ(telemetry.HubDevice, hubMJ)
 		led.AddEnergyMJ(telemetry.AdaptSavings, staticMJ-hubMJ)
-		profile.DepositCycles(led, dev.CyclesPerFloatOp, dev.CyclesPerIntOp)
-		emitStageSpans(hubStream, profile, dev)
+		depositHubEnergy(led, hubStream, dev, hubMJ, profile)
 	}
 
 	hubMW := 0.0

@@ -11,7 +11,6 @@ import (
 	"sidewinder/internal/core"
 	"sidewinder/internal/hub"
 	"sidewinder/internal/interp"
-	"sidewinder/internal/sched"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/telemetry"
 	"sidewinder/internal/tracegen"
@@ -106,20 +105,19 @@ func TestAdaptiveBudgetAndLedgerProperties(t *testing.T) {
 			t.Fatal(err)
 		}
 		dev := deviceByName(t, r.Device)
-		budget := sched.BudgetFor(dev)
 		baseF, baseI, _ := adapt.Demand(base, interp.Float64)
 		plan, err := adapt.Reparameterize(cat, base, a.FinalKnobs)
 		if err != nil {
 			t.Fatalf("%s: final knobs %+v do not reparameterize: %v", combo.app.Name, a.FinalKnobs, err)
 		}
 		f, i, mem := adapt.Demand(plan, a.FinalKnobs.Precision)
-		if !budget.Fits(f, i, mem) {
+		if !dev.Fits(f, i, mem) {
 			t.Errorf("%s: final configuration exceeds %s budget (f=%g i=%g mem=%d)",
 				combo.app.Name, r.Device, f, i, mem)
 		}
-		if budget.Cycles(f, i) > budget.Cycles(baseF, baseI) {
+		if dev.Cycles(f, i) > dev.Cycles(baseF, baseI) {
 			t.Errorf("%s: adapted demand %.0f cyc/s above static %.0f cyc/s",
-				combo.app.Name, budget.Cycles(f, i), budget.Cycles(baseF, baseI))
+				combo.app.Name, dev.Cycles(f, i), dev.Cycles(baseF, baseI))
 		}
 		// Knobs stay inside the configured bounds.
 		k := a.FinalKnobs

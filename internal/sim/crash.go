@@ -23,7 +23,6 @@ package sim
 //                     must be zero.
 
 import (
-	"errors"
 	"fmt"
 
 	"sidewinder/internal/apps"
@@ -186,41 +185,22 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 	}
 
 	profile := power.Nexus4()
-	ph := power.NewPhone(profile)
-	phoneStream, _, _ := bed.Streams()
+	tl := newWakeTimeline(tr, swIdleHoldSec, 0)
+	ph := &tl.ph
+	phoneStream, hubStream, _ := bed.Streams()
 	tracePhoneTransitions(ph, phoneStream)
 
 	res := &CrashResult{}
-	lastDelivery := -1
 	curSample := 0
 	id, err := bed.Manager.Push(app.Wake, manager.ListenerFunc(func(e manager.Event) {
 		res.DeliveredWakes++
-		lastDelivery = curSample
-		ph.RequestWake()
+		tl.wake(curSample)
 	}))
 	if err != nil {
 		return nil, err
 	}
-	loaded := false
-	for attempt := 0; attempt < maxPushAttempts; attempt++ {
-		res.PushAttempts++
-		if err := bed.Pump(); err != nil {
-			return nil, err
-		}
-		_, ready, serr := bed.Manager.Status(id)
-		if ready && serr == nil {
-			loaded = true
-			break
-		}
-		if ready && serr != nil && !errors.Is(serr, link.ErrLinkDown) {
-			return nil, serr
-		}
-		if err := bed.Manager.Repush(id); err != nil {
-			return nil, err
-		}
-	}
-	if !loaded {
-		return nil, fmt.Errorf("sim: condition never loaded after %d push attempts", maxPushAttempts)
+	if res.PushAttempts, err = provision(bed, id); err != nil {
+		return nil, err
 	}
 
 	// Install the injector only after initial provisioning: the sweep
@@ -241,8 +221,7 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 
 	fbMW := fallbackAvgMW(cfg.Fallback, sleepSec, profile)
 	n := tr.Len()
-	dt := 1 / tr.RateHz
-	hold := int(swIdleHoldSec * tr.RateHz)
+	dt := tl.dt
 
 	// The oracle runs outside the failing stack, so its whole-trace fired
 	// bitmap can be precomputed on the interpreter's block fast path; the
@@ -328,10 +307,7 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 			res.FallbackSec += dt
 			res.FallbackEnergyMJ += fbMW * dt
 		} else {
-			if ph.UsableAwake() && lastDelivery >= 0 && s-lastDelivery > hold {
-				ph.RequestSleep()
-			}
-			ph.Advance(dt)
+			tl.idle(s)
 		}
 		clk.SetSec(float64(s+1) * dt)
 	}
@@ -365,16 +341,9 @@ func CrashRun(tr *sensor.Trace, app *apps.App, cfg CrashRunConfig) (*CrashResult
 		depositPhoneEnergy(led, ph)
 		led.AddEnergyMJ(telemetry.PhoneFallback, res.FallbackEnergyMJ)
 		if placed {
-			depositHubEnergy(led, dev, res.HubUpSec, bed.Profile())
+			depositHubEnergy(led, hubStream, dev, res.HubEnergyMJ, bed.Profile())
 		}
-		overhead := res.Stats.PhoneARQ.OverheadBytes + res.Stats.HubARQ.OverheadBytes
-		retransMJ := float64(overhead*10) / lossyLinkBaud * link.UARTActiveMW
-		led.AddEnergyMJ(telemetry.LinkRetransmit, retransMJ)
-		led.AddEnergyMJ(telemetry.LinkWire, res.LinkEnergyMJ-retransMJ)
-		_, hubStream, _ := bed.Streams()
-		if placed {
-			emitStageSpans(hubStream, bed.Profile(), dev)
-		}
+		depositLinkEnergy(led, res.Stats, res.LinkEnergyMJ)
 	}
 	return res, nil
 }

@@ -226,11 +226,17 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand, sleepSec float64) (FleetCell,
 
 	// Place the mix on the cheapest device that admits everything; when
 	// none does, the most capable device carries what fits and the rest
-	// degrades.
+	// degrades. With CSE disabled the compile pass is fully ablated: the
+	// scheduler bills every condition standalone and every plan node gets
+	// its own instance on the hub.
+	copts := ir.CompileOptions{}
+	if cfg.DisableCSE {
+		copts = ir.NoOpt()
+	}
 	var s *sched.Scheduler
 	var dev hub.Device
 	for _, cand := range hub.Devices() {
-		cs := sched.NewWithOptions(cand, sched.Options{DisableSharing: cfg.DisableCSE})
+		cs := sched.NewWithOptions(cand, copts)
 		for j, plan := range plans {
 			if _, err := cs.Add(uint16(j+1), plan, cell.Priorities[j]); err != nil {
 				return cell, err
@@ -247,20 +253,15 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand, sleepSec float64) (FleetCell,
 	cell.CycleFrac, cell.RAMFrac, cell.SharedNodes = s.Utilization()
 
 	profile := power.Nexus4()
-	ph := power.NewPhone(profile)
-	dt := 1 / tr.RateHz
-	cell.DurationSec = float64(tr.Len()) * dt
+	tl := newWakeTimeline(tr, swIdleHoldSec, 0)
+	ph := &tl.ph
+	cell.DurationSec = float64(tr.Len()) * tl.dt
 
 	hubPlans := s.HubPlans()
 	if len(hubPlans) > 0 {
 		// The admitted set executes as one DAG-compiled shared plan:
 		// identical subgraphs run once, exactly as the scheduler billed
-		// them. With CSE disabled the pass is fully ablated and every
-		// plan node gets its own instance.
-		copts := ir.CompileOptions{}
-		if cfg.DisableCSE {
-			copts = ir.NoOpt()
-		}
+		// them.
 		sp, err := ir.CompilePlans(cat, copts, hubPlans...)
 		if err != nil {
 			return cell, err
@@ -285,24 +286,16 @@ func fleetCell(cfg FleetRunConfig, rng *rand.Rand, sleepSec float64) (FleetCell,
 			return cell, err
 		}
 
-		hold := int(swIdleHoldSec * tr.RateHz)
-		lastFire := -1
+		n := tr.Len()
 		fired := make([]bool, simBlock)
-		for base := 0; base < tr.Len(); base += simBlock {
-			f := feed.fire(base, min(base+simBlock, tr.Len()), fired)
+		for base := 0; base < n; base += simBlock {
+			f := feed.fire(base, min(base+simBlock, n), fired)
 			for k := range f {
-				i := base + k
 				if f[k] {
 					cell.Wakes++
-					lastFire = i
-					if ph.State() == power.Asleep || ph.State() == power.FallingAsleep {
-						ph.RequestWake()
-					}
+					tl.wake(base + k)
 				}
-				if ph.State() == power.Awake && lastFire >= 0 && i-lastFire > hold {
-					ph.RequestSleep()
-				}
-				ph.Advance(dt)
+				tl.idle(base + k)
 			}
 		}
 		cell.HubEnergyMJ = dev.ActivePowerMW * cell.DurationSec

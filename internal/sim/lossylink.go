@@ -7,7 +7,6 @@ import (
 	"sidewinder/internal/apps"
 	"sidewinder/internal/link"
 	"sidewinder/internal/manager"
-	"sidewinder/internal/power"
 	"sidewinder/internal/sensor"
 	"sidewinder/internal/telemetry"
 )
@@ -67,6 +66,30 @@ const lossyLinkBaud = 115200
 // ARQ path virtually always succeeds on the first attempt.
 const maxPushAttempts = 25
 
+// provision loads a pushed condition onto the testbed's hub, re-pushing as
+// long as the link keeps eating the push or its ack, and returns the
+// attempts it took. The ARQ path settles this on the first attempt; a raw
+// wire at high error rates may need several. A hub that actually rejects
+// the program fails at once.
+func provision(bed *manager.Testbed, id uint16) (int, error) {
+	for attempt := 1; attempt <= maxPushAttempts; attempt++ {
+		if err := bed.Pump(); err != nil {
+			return attempt, err
+		}
+		_, ready, serr := bed.Manager.Status(id)
+		if ready && serr == nil {
+			return attempt, nil
+		}
+		if ready && !errors.Is(serr, link.ErrLinkDown) {
+			return attempt, serr
+		}
+		if err := bed.Manager.Repush(id); err != nil {
+			return attempt, err
+		}
+	}
+	return maxPushAttempts, fmt.Errorf("sim: condition never loaded after %d push attempts", maxPushAttempts)
+}
+
 // LossyLinkRun replays an application's wake-up condition over a faulty
 // serial link and measures what survives: how many hub-side wake events
 // reach the phone, whether any arrive twice, and what the link traffic —
@@ -93,10 +116,10 @@ func LossyLinkRun(tr *sensor.Trace, app *apps.App, cfg LossyLinkConfig) (*LossyL
 	// The phone rides along as a passive observer: delivered wake events
 	// wake it, an idle hold puts it back to sleep. It never touches the
 	// wire, so delivery results are identical with or without it.
-	ph := power.NewPhone(power.Nexus4())
-	phoneStream, _, _ := bed.Streams()
+	tl := newWakeTimeline(tr, swIdleHoldSec, 0)
+	ph := &tl.ph
+	phoneStream, hubStream, _ := bed.Streams()
 	tracePhoneTransitions(ph, phoneStream)
-	lastDelivery := -1
 	curSample := 0
 
 	res := &LossyLinkResult{}
@@ -107,36 +130,13 @@ func LossyLinkRun(tr *sensor.Trace, app *apps.App, cfg LossyLinkConfig) (*LossyL
 		if seen[e.SampleIndex] > 1 {
 			res.DuplicateWakes++
 		}
-		lastDelivery = curSample
-		ph.RequestWake()
+		tl.wake(curSample)
 	}))
 	if err != nil {
 		return nil, err
 	}
-
-	// Load the condition, re-pushing as long as the link keeps eating
-	// the push or its ack. The ARQ path settles this on the first
-	// attempt; a raw wire at high error rates may need several.
-	loaded := false
-	for attempt := 0; attempt < maxPushAttempts; attempt++ {
-		res.PushAttempts++
-		if err := bed.Pump(); err != nil {
-			return nil, err
-		}
-		_, ready, serr := bed.Manager.Status(id)
-		if ready && serr == nil {
-			loaded = true
-			break
-		}
-		if ready && serr != nil && !errors.Is(serr, link.ErrLinkDown) {
-			return nil, serr // the hub actually rejected the program
-		}
-		if err := bed.Manager.Repush(id); err != nil {
-			return nil, err
-		}
-	}
-	if !loaded {
-		return nil, fmt.Errorf("sim: condition never loaded after %d push attempts", maxPushAttempts)
+	if res.PushAttempts, err = provision(bed, id); err != nil {
+		return nil, err
 	}
 
 	// Replay the trace through the hub, all of the condition's channels
@@ -146,8 +146,6 @@ func LossyLinkRun(tr *sensor.Trace, app *apps.App, cfg LossyLinkConfig) (*LossyL
 		channels[i] = tr.Channels[ch]
 	}
 	n := tr.Len()
-	dt := 1 / tr.RateHz
-	hold := int(swIdleHoldSec * tr.RateHz)
 	for s := 0; s < n; s++ {
 		curSample = s
 		for i, ch := range app.Channels {
@@ -158,11 +156,8 @@ func LossyLinkRun(tr *sensor.Trace, app *apps.App, cfg LossyLinkConfig) (*LossyL
 				return nil, err
 			}
 		}
-		if ph.UsableAwake() && lastDelivery >= 0 && s-lastDelivery > hold {
-			ph.RequestSleep()
-		}
-		ph.Advance(dt)
-		clk.SetSec(float64(s+1) * dt)
+		tl.idle(s)
+		clk.SetSec(float64(s+1) * tl.dt)
 	}
 	if err := bed.Pump(); err != nil {
 		return nil, err
@@ -192,19 +187,9 @@ func LossyLinkRun(tr *sensor.Trace, app *apps.App, cfg LossyLinkConfig) (*LossyL
 		led := cfg.Telemetry.LedgerSink()
 		depositPhoneEnergy(led, ph)
 		if placed {
-			depositHubEnergy(led, dev, dur, bed.Profile())
+			depositHubEnergy(led, hubStream, dev, res.HubEnergyMJ, bed.Profile())
 		}
-		// Split wire energy: ARQ overhead bytes (retransmitted frames plus
-		// all ack traffic) price the retransmission component; the rest is
-		// first-transmission occupancy. The two sum to LinkEnergyMJ.
-		overhead := res.Stats.PhoneARQ.OverheadBytes + res.Stats.HubARQ.OverheadBytes
-		retransMJ := float64(overhead*10) / lossyLinkBaud * link.UARTActiveMW
-		led.AddEnergyMJ(telemetry.LinkRetransmit, retransMJ)
-		led.AddEnergyMJ(telemetry.LinkWire, res.LinkEnergyMJ-retransMJ)
-		_, hubStream, _ := bed.Streams()
-		if placed {
-			emitStageSpans(hubStream, bed.Profile(), dev)
-		}
+		depositLinkEnergy(led, res.Stats, res.LinkEnergyMJ)
 	}
 	return res, nil
 }

@@ -72,15 +72,22 @@ func (h hubFeed) fire(base, end int, buf []bool) []bool {
 	return f
 }
 
-// clock tracks simulated time against a phone state machine. When a
-// telemetry clock is attached, simulated time is mirrored into it so
-// trace streams stamp events at the right position on the timeline.
+// clock tracks simulated time against the phone state machine it owns
+// (held by value, so a run's phone stays off the heap; strategies read it
+// through &c.ph). When a telemetry clock is attached, simulated time is
+// mirrored into it so trace streams stamp events at the right position on
+// the timeline.
 type clock struct {
-	ph   *power.Phone
+	ph   power.Phone
 	t    float64 // seconds since trace start
 	rate float64
 	n    int // trace length in samples
 	tclk *telemetry.Clock
+}
+
+// newClock starts a sleeping Nexus 4 at the head of the trace.
+func newClock(tr *sensor.Trace) clock {
+	return clock{ph: *power.NewPhone(power.Nexus4()), rate: tr.RateHz, n: tr.Len()}
 }
 
 func (c *clock) advance(dt float64) {
@@ -102,6 +109,120 @@ func (c *clock) sampleAt(t float64) int {
 }
 
 func (c *clock) endSec() float64 { return float64(c.n) / c.rate }
+
+// wakeFor asks the phone to wake — it starts to only from asleep or
+// falling asleep, which it reports — then lets sec pass (none if sec <= 0).
+// wakeFor and sleepFor are the simulator's only phone transitions.
+func (c *clock) wakeFor(sec float64) bool {
+	woke := c.ph.RequestWake()
+	if sec > 0 {
+		c.advance(sec)
+	}
+	return woke
+}
+
+// sleepFor asks the phone to sleep — only a fully awake phone starts to —
+// then lets sec pass (none if sec <= 0).
+func (c *clock) sleepFor(sec float64) {
+	c.ph.RequestSleep()
+	if sec > 0 {
+		c.advance(sec)
+	}
+}
+
+// trace mirrors simulated time into a fresh telemetry clock and opens the
+// run's phone and hub streams (names prefixed by label), recording every
+// phone power-state change on the first. It returns the hub stream; with
+// telemetry disabled it installs nothing and returns nil.
+func (c *clock) trace(tel telemetry.Set, label string) *telemetry.Stream {
+	if !tel.Enabled() {
+		return nil
+	}
+	c.tclk = &telemetry.Clock{}
+	phone := tel.Tracer.Stream(label+"phone", c.tclk)
+	hub := tel.Tracer.Stream(label+"hub", c.tclk)
+	tracePhoneTransitions(&c.ph, phone)
+	return hub
+}
+
+// wakeTimeline is the phone side of every hub-driven strategy (paper
+// §4.2): a wake turns the phone on, and once hold samples pass without
+// another wake it goes back to sleep. Each wake-up opens a delivered
+// interval reaching preBuffer samples back (the hub's raw-data buffer);
+// going back to sleep closes it.
+type wakeTimeline struct {
+	clock
+	dt              float64
+	hold, preBuffer int
+	last            int // sample of the latest wake, -1 before any
+	open            int // start of the open interval, -1 while asleep
+	intervals       []Interval
+}
+
+// newWakeTimeline starts a sleeping phone at the head of the trace.
+func newWakeTimeline(tr *sensor.Trace, holdSec, preBufferSec float64) wakeTimeline {
+	return wakeTimeline{
+		clock:     newClock(tr),
+		dt:        1 / tr.RateHz,
+		hold:      int(holdSec * tr.RateHz),
+		preBuffer: int(preBufferSec * tr.RateHz),
+		last:      -1,
+		open:      -1,
+	}
+}
+
+// wake records a wake at sample i and reports whether it woke the phone;
+// a wake while the phone is up or already waking only restarts the hold.
+func (w *wakeTimeline) wake(i int) bool {
+	w.last = i
+	if !w.wakeFor(0) {
+		return false
+	}
+	w.open = max(i-w.preBuffer, 0)
+	return true
+}
+
+// idle ends sample i: an awake phone whose last wake is more than hold
+// samples old goes back to sleep, closing the open interval, and the
+// clock advances one sample.
+func (w *wakeTimeline) idle(i int) {
+	if w.ph.State() == power.Awake && w.last >= 0 && i-w.last > w.hold {
+		w.sleepFor(0)
+		w.intervals = append(w.intervals, Interval{w.open, i})
+		w.open = -1
+	}
+	w.advance(w.dt)
+}
+
+// done closes an interval still open at trace end n and returns every
+// delivered interval.
+func (w *wakeTimeline) done(n int) []Interval {
+	if w.open >= 0 {
+		w.intervals = append(w.intervals, Interval{w.open, n})
+	}
+	return w.intervals
+}
+
+// placeWake validates the app's wake-up condition against cat (default
+// core.DefaultCatalog()) and places it on the cheapest feasible device of
+// devices (default hub.Devices()). It returns the catalog it used.
+func placeWake(cat *core.Catalog, devices []hub.Device, app *apps.App) (*core.Catalog, *core.Plan, hub.Device, error) {
+	if cat == nil {
+		cat = core.DefaultCatalog()
+	}
+	if devices == nil {
+		devices = hub.Devices()
+	}
+	plan, err := app.Wake.Validate(cat)
+	if err != nil {
+		return nil, nil, hub.Device{}, fmt.Errorf("sim: validating %s wake condition: %w", app.Name, err)
+	}
+	dev, err := hub.SelectDevice(devices, plan)
+	if err != nil {
+		return nil, nil, hub.Device{}, fmt.Errorf("sim: placing %s wake condition: %w", app.Name, err)
+	}
+	return cat, plan, dev, nil
+}
 
 // --------------------------------------------------------- Always Awake
 
@@ -132,33 +253,22 @@ func (Oracle) Name() string { return "oracle" }
 // Run implements Strategy.
 func (Oracle) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 	profile := power.Nexus4()
-	ph := power.NewPhone(profile)
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
+	c := newClock(tr)
 
 	truth := tr.EventsLabeled(app.Label)
 	gap := int(app.OracleMergeGapSec * tr.RateHz)
 	spans := mergeTruthSpans(truth, gap)
 
+	// Asleep until a transition before each span starts, awake through
+	// its end; requesting sleep of a phone that is not yet awake is a
+	// no-op.
 	for _, sp := range spans {
-		start := float64(sp.Start)/tr.RateHz - profile.TransitionSeconds
-		if start < c.t {
-			start = c.t
-		}
-		end := float64(sp.End) / tr.RateHz
-		if start > c.t {
-			c.advance(start - c.t)
-		}
-		ph.RequestWake()
-		if end > c.t {
-			c.advance(end - c.t)
-		}
-		ph.RequestSleep()
+		c.sleepFor(float64(sp.Start)/tr.RateHz - profile.TransitionSeconds - c.t)
+		c.wakeFor(float64(sp.End)/tr.RateHz - c.t)
 	}
-	if rest := c.endSec() - c.t; rest > 0 {
-		c.advance(rest)
-	}
+	c.sleepFor(c.endSec() - c.t)
 
-	res := finish("oracle", tr, app, ph, 0, nil, nil)
+	res := finish("oracle", tr, app, &c.ph, 0, nil, nil)
 	// The oracle detects by definition: perfect recall and precision.
 	res.Detections = truth
 	res.Truth = truth
@@ -201,15 +311,13 @@ func (d DutyCycling) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 	if d.SleepSec <= 0 {
 		return nil, fmt.Errorf("sim: duty cycling needs a positive sleep interval")
 	}
-	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
+	c := newClock(tr)
 	end := c.endSec()
 	var intervals []Interval
 	var deliveries []Delivery
 
 	for c.t < end {
-		ph.RequestWake()
-		c.advance(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
+		c.wakeFor(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
 		// Awake chunks of 4 s; extend while the app detects something.
 		for c.t < end {
 			chunkStart := c.t
@@ -224,11 +332,10 @@ func (d DutyCycling) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 		if c.t >= end {
 			break
 		}
-		ph.RequestSleep()
-		c.advance(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
+		c.sleepFor(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
 		c.advance(math.Min(d.SleepSec, end-c.t))
 	}
-	res := finish(d.Name(), tr, app, ph, 0, intervals, nil)
+	res := finish(d.Name(), tr, app, &c.ph, 0, intervals, nil)
 	res.Deliveries = deliveries
 	return res, nil
 }
@@ -251,16 +358,14 @@ func (b Batching) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 	if b.SleepSec <= 0 {
 		return nil, fmt.Errorf("sim: batching needs a positive sleep interval")
 	}
-	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
+	c := newClock(tr)
 	end := c.endSec()
 	var intervals []Interval
 	var deliveries []Delivery
 	delivered := 0
 
 	for c.t < end {
-		ph.RequestWake()
-		c.advance(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
+		c.wakeFor(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
 		for c.t < end {
 			c.advance(math.Min(dutyAwakeSec, end-c.t))
 			iv := Interval{delivered, c.sampleAt(c.t)}
@@ -274,8 +379,7 @@ func (b Batching) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 		if c.t >= end {
 			break
 		}
-		ph.RequestSleep()
-		c.advance(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
+		c.sleepFor(math.Min(power.Nexus4().TransitionSeconds, end-c.t))
 		c.advance(math.Min(b.SleepSec, end-c.t))
 	}
 	// Whatever remains in the cache is delivered at trace end.
@@ -283,7 +387,7 @@ func (b Batching) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 		intervals = append(intervals, Interval{delivered, tr.Len()})
 		deliveries = append(deliveries, Delivery{Start: delivered, End: tr.Len(), At: tr.Len()})
 	}
-	res := finish(b.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, intervals, nil)
+	res := finish(b.Name(), tr, app, &c.ph, hub.MSP430().ActivePowerMW, intervals, nil)
 	res.Deliveries = deliveries
 	return res, nil
 }
@@ -330,38 +434,15 @@ func (p PredefinedActivity) Run(tr *sensor.Trace, app *apps.App) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
-	dt := 1 / tr.RateHz
-	preBuffer := int(app.PreBufferSec * tr.RateHz)
-	hold := int(paHoldSec * tr.RateHz)
-
-	var intervals []Interval
-	openStart := -1
-	lastSig := -1
-
-	for i := 0; i < tr.Len(); i++ {
+	tl := newWakeTimeline(tr, paHoldSec, app.PreBufferSec)
+	n := tr.Len()
+	for i := 0; i < n; i++ {
 		if sig.significant(i, p.Threshold) {
-			lastSig = i
-			if ph.State() == power.Asleep || ph.State() == power.FallingAsleep {
-				ph.RequestWake()
-				openStart = i - preBuffer
-				if openStart < 0 {
-					openStart = 0
-				}
-			}
+			tl.wake(i)
 		}
-		if ph.State() == power.Awake && lastSig >= 0 && i-lastSig > hold {
-			ph.RequestSleep()
-			intervals = append(intervals, Interval{openStart, i})
-			openStart = -1
-		}
-		c.advance(dt)
+		tl.idle(i)
 	}
-	if openStart >= 0 {
-		intervals = append(intervals, Interval{openStart, tr.Len()})
-	}
-	return finish(p.Name(), tr, app, ph, hub.MSP430().ActivePowerMW, intervals, nil), nil
+	return finish(p.Name(), tr, app, &tl.ph, hub.MSP430().ActivePowerMW, tl.done(n), nil), nil
 }
 
 // significance computes the streaming significant-motion/sound feature
@@ -453,21 +534,9 @@ func (Sidewinder) Name() string { return "sidewinder" }
 
 // Run implements Strategy.
 func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
-	cat := s.Catalog
-	if cat == nil {
-		cat = core.DefaultCatalog()
-	}
-	devices := s.Devices
-	if devices == nil {
-		devices = hub.Devices()
-	}
-	plan, err := app.Wake.Validate(cat)
+	cat, plan, dev, err := placeWake(s.Catalog, s.Devices, app)
 	if err != nil {
-		return nil, fmt.Errorf("sim: validating %s wake condition: %w", app.Name, err)
-	}
-	dev, err := hub.SelectDevice(devices, plan)
-	if err != nil {
-		return nil, fmt.Errorf("sim: placing %s wake condition: %w", app.Name, err)
+		return nil, err
 	}
 	// The hub executes the DAG-compiled form of the condition: intra-app
 	// duplicate subgraphs (e.g. two branches windowing the microphone the
@@ -484,19 +553,11 @@ func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 		return nil, err
 	}
 
-	ph := power.NewPhone(power.Nexus4())
-	c := &clock{ph: ph, rate: tr.RateHz, n: tr.Len()}
-	dt := 1 / tr.RateHz
-	preBuffer := int(app.PreBufferSec * tr.RateHz)
-	hold := int(swIdleHoldSec * tr.RateHz)
-
-	var phoneStream, hubStream *telemetry.Stream
+	tl := newWakeTimeline(tr, swIdleHoldSec, app.PreBufferSec)
+	ph := &tl.ph
+	hubStream := tl.trace(s.Telemetry, s.TraceLabel)
 	var profile *telemetry.InterpProfile
 	if s.Telemetry.Enabled() {
-		c.tclk = &telemetry.Clock{}
-		phoneStream = s.Telemetry.Tracer.Stream(s.TraceLabel+"phone", c.tclk)
-		hubStream = s.Telemetry.Tracer.Stream(s.TraceLabel+"hub", c.tclk)
-		tracePhoneTransitions(ph, phoneStream)
 		profile = telemetry.NewInterpProfile()
 		m.SetProfile(profile)
 	}
@@ -506,45 +567,27 @@ func (s Sidewinder) Run(tr *sensor.Trace, app *apps.App) (*Result, error) {
 		return nil, err
 	}
 
-	var intervals []Interval
-	openStart := -1
-	lastFire := -1
-
 	// The hub interpreter runs on the block path (hubFeed.fire); the phone
 	// state machine then replays each chunk sample by sample.
+	n := tr.Len()
 	fired := make([]bool, simBlock)
-	for base := 0; base < tr.Len(); base += simBlock {
-		f := feed.fire(base, min(base+simBlock, tr.Len()), fired)
+	for base := 0; base < n; base += simBlock {
+		f := feed.fire(base, min(base+simBlock, n), fired)
 		for k := range f {
 			i := base + k
 			if f[k] {
-				lastFire = i
 				hubStream.Instant1("wake.sent", "hub", "sample", float64(i))
-				if ph.State() == power.Asleep || ph.State() == power.FallingAsleep {
-					ph.RequestWake()
-					openStart = i - preBuffer
-					if openStart < 0 {
-						openStart = 0
-					}
-				}
+				tl.wake(i)
 			}
-			if ph.State() == power.Awake && lastFire >= 0 && i-lastFire > hold {
-				ph.RequestSleep()
-				intervals = append(intervals, Interval{openStart, i})
-				openStart = -1
-			}
-			c.advance(dt)
+			tl.idle(i)
 		}
 	}
-	if openStart >= 0 {
-		intervals = append(intervals, Interval{openStart, tr.Len()})
-	}
+	intervals := tl.done(n)
 
 	if s.Telemetry.Enabled() {
 		led := s.Telemetry.LedgerSink()
 		depositPhoneEnergy(led, ph)
-		depositHubEnergy(led, dev, ph.TotalSeconds(), profile)
-		emitStageSpans(hubStream, profile, dev)
+		depositHubEnergy(led, hubStream, dev, dev.ActivePowerMW*ph.TotalSeconds(), profile)
 	}
 
 	res := finish(s.Name(), tr, app, ph, dev.ActivePowerMW, intervals, nil)

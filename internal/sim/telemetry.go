@@ -2,6 +2,8 @@ package sim
 
 import (
 	"sidewinder/internal/hub"
+	"sidewinder/internal/link"
+	"sidewinder/internal/manager"
 	"sidewinder/internal/power"
 	"sidewinder/internal/telemetry"
 )
@@ -33,30 +35,22 @@ func depositPhoneEnergy(l *telemetry.Ledger, ph *power.Phone) {
 	l.AddEnergyMJ(telemetry.PhoneFallingAsleep, ph.StateEnergyMJ(power.FallingAsleep))
 }
 
-// depositHubEnergy attributes the hub device's constant active draw over
-// the run duration, and converts the interpreter profile's per-stage work
-// into device cycles on the ledger.
-func depositHubEnergy(l *telemetry.Ledger, dev hub.Device, durSec float64, prof *telemetry.InterpProfile) {
-	l.AddEnergyMJ(telemetry.HubDevice, dev.ActivePowerMW*durSec)
-	prof.DepositCycles(l, dev.CyclesPerFloatOp, dev.CyclesPerIntOp)
+// depositHubEnergy attributes the hub device's energy over the run, and
+// converts the interpreter profile's per-stage work into device cycles:
+// on the ledger, and as consecutive per-stage spans on the hub stream.
+func depositHubEnergy(l *telemetry.Ledger, s *telemetry.Stream, dev hub.Device, hubMJ float64, prof *telemetry.InterpProfile) {
+	l.AddEnergyMJ(telemetry.HubDevice, hubMJ)
+	prof.DepositCycles(l, dev.Cycles)
+	prof.EmitStageSpans(s, dev.Cycles, dev.ClockHz)
 }
 
-// emitStageSpans lays the profile's per-stage execution time out as
-// consecutive spans on the stream, converting abstract work into seconds
-// on the given device. The track reads as "where the hub's busy time
-// went"; span order follows kind-sorted stage names.
-func emitStageSpans(s *telemetry.Stream, prof *telemetry.InterpProfile, dev hub.Device) {
-	if s == nil || prof == nil || dev.ClockHz <= 0 {
-		return
-	}
-	at := 0.0
-	for _, st := range prof.Stages() {
-		cycles := st.FloatOps*dev.CyclesPerFloatOp + st.IntOps*dev.CyclesPerIntOp
-		dur := cycles / dev.ClockHz
-		if dur <= 0 {
-			continue
-		}
-		s.Span(st.Kind, "stage", at, dur)
-		at += dur
-	}
+// depositLinkEnergy splits the wire energy of a testbed run on the
+// ledger: ARQ overhead bytes (retransmitted frames plus all ack traffic)
+// price the retransmission component, the rest is first-transmission
+// occupancy. The two sum to wireMJ.
+func depositLinkEnergy(l *telemetry.Ledger, st manager.LinkStats, wireMJ float64) {
+	overhead := st.PhoneARQ.OverheadBytes + st.HubARQ.OverheadBytes
+	retransMJ := float64(overhead*10) / lossyLinkBaud * link.UARTActiveMW
+	l.AddEnergyMJ(telemetry.LinkRetransmit, retransMJ)
+	l.AddEnergyMJ(telemetry.LinkWire, wireMJ-retransMJ)
 }

@@ -98,13 +98,31 @@ func (p *InterpProfile) TotalOps() (floatOps, intOps float64) {
 }
 
 // DepositCycles converts the profile's per-stage work into device cycles
-// (cyclesPerFloatOp/cyclesPerIntOp are the hub device's conversion rates)
-// and attributes them to the ledger. No-op when either side is nil.
-func (p *InterpProfile) DepositCycles(l *Ledger, cyclesPerFloatOp, cyclesPerIntOp float64) {
+// through the hub device's cost model (hub.Device.Cycles) and attributes
+// them to the ledger. No-op when either side is nil.
+func (p *InterpProfile) DepositCycles(l *Ledger, cycles func(floatOps, intOps float64) float64) {
 	if p == nil || l == nil {
 		return
 	}
 	for _, s := range p.order {
-		l.AddStageCycles(s.Kind, s.FloatOps*cyclesPerFloatOp+s.IntOps*cyclesPerIntOp)
+		l.AddStageCycles(s.Kind, cycles(s.FloatOps, s.IntOps))
+	}
+}
+
+// EmitStageSpans lays the profile's per-stage execution time out as
+// consecutive spans on the stream: each stage's work in device cycles
+// (hub.Device.Cycles) over the device clock. The track reads as "where
+// the hub's busy time went"; span order follows kind-sorted stage names.
+// No-op when either side is nil or the clock is not positive.
+func (p *InterpProfile) EmitStageSpans(s *Stream, cycles func(floatOps, intOps float64) float64, clockHz float64) {
+	if p == nil || s == nil || clockHz <= 0 {
+		return
+	}
+	at := 0.0
+	for _, st := range p.Stages() {
+		if dur := cycles(st.FloatOps, st.IntOps) / clockHz; dur > 0 {
+			s.Span(st.Kind, "stage", at, dur)
+			at += dur
+		}
 	}
 }

@@ -44,8 +44,6 @@ const (
 // x-axis in [2.5, 4.5] m/s²; postures: z in [9,11]/[7.5,9.5] and y in
 // [-1,1]/[3.5,5.5]; headbutts: y minima in [-6.75, -3.75]).
 const (
-	gravity = 9.81
-
 	standZ = 9.81
 	standY = 0.0
 	sitZ   = 8.5
